@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json alloc-gate chaos ci obs-smoke policy-smoke quick resume-smoke sample-smoke serve serve-smoke trace-smoke
+.PHONY: all build test race bench bench-json alloc-gate chaos ci obs-smoke perfbench-check policy-smoke quick resume-smoke sample-smoke serve serve-smoke trace-smoke
 
 all: build
 
@@ -74,6 +74,7 @@ chaos:
 ci:
 	$(GO) vet ./...
 	$(GO) build ./...
+	$(MAKE) perfbench-check
 	$(GO) test -race -timeout 30m ./...
 	$(GO) test -race -timeout 10m -run 'Chaos|Fault|Corrupt' ./...
 	$(MAKE) alloc-gate
@@ -85,6 +86,14 @@ ci:
 	$(MAKE) sample-smoke
 	$(MAKE) resume-smoke
 	$(MAKE) obs-smoke
+
+# The repository benchmark (perfbench/) is a module of its own, so the
+# root `go build ./...` and `go test ./...` never compile it. Vet it and
+# run its tests (a shortened pass of every workload, golden-checked)
+# against the current internal packages.
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 # Observability gate: boot an in-process lapserved, run a sweep while
 # subscribed to /v1/events and assert the event story arrives in causal

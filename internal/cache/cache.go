@@ -8,13 +8,14 @@
 // divided by the block size); the hierarchy layer performs the shift once
 // at its edge.
 //
-// The backing store uses a split layout tuned for the probe-dominated
-// access pattern of the simulator hot loop: a packed per-set tag array and
-// valid bitmask are scanned on every probe, while the cold per-line
-// metadata (dirty/loop/shared bits, RRPV) lives in a separate Line array
-// touched only on hits and evictions. Recency is a compact per-set LRU
-// ordering (one byte per way), so a touch is a byte shuffle instead of a
-// global-counter stamp write.
+// Each line's state is stored once, split by how often the simulator hot
+// loop touches it: a packed per-set tag array and valid bitmask are
+// scanned on every probe; the remaining per-line bits (dirty, loop-bit,
+// shared, RRPV) live in a 4-byte Meta array touched only on hits, fills
+// and evictions; and recency is a compact per-set LRU ordering (one byte
+// per way), so a touch is a byte shuffle instead of a global-counter
+// stamp write. A line costs 13 bytes in all. Line is not stored: it is
+// the value Evict and Invalidate assemble from the arrays.
 package cache
 
 import (
@@ -22,17 +23,11 @@ import (
 	"math/bits"
 )
 
-// Line is one cache block's metadata. The simulator is trace-driven, so no
-// data payload is stored; Tag holds the full block number, which both
-// identifies the block and lets a line be re-expanded to its address.
-// Tag and Valid are mirrored into the cache's packed probe arrays and must
-// only change through InsertAt/Evict/Invalidate/Reset; the remaining
-// fields are free to mutate through Line pointers.
-type Line struct {
-	// Tag is the block number stored in this line.
-	Tag uint64
-	// Valid reports whether the line holds a block.
-	Valid bool
+// Meta is the per-line state stored beside a tag. The simulator is
+// trace-driven, so no data payload is stored. Callers mutate it through
+// the pointer Meta returns; the tag and valid bit change only through
+// InsertAt/Evict/Invalidate/Reset.
+type Meta struct {
 	// Dirty reports whether the block has been modified since it was
 	// filled or last written back.
 	Dirty bool
@@ -44,6 +39,19 @@ type Line struct {
 	Shared bool
 	// rrpv is the 2-bit re-reference prediction value (RRIP replacement).
 	rrpv uint8
+}
+
+// Line is one line's full contents, assembled from the cache's arrays:
+// the value Evict and Invalidate return and victims are handed on as.
+// Tag holds the full block number, which both identifies the block and
+// lets a line be re-expanded to its address.
+type Line struct {
+	// Tag is the block number stored in this line.
+	Tag uint64
+	// Valid reports whether the line holds a block.
+	Valid bool
+	// Dirty, Loop and Shared are the line's Meta bits.
+	Dirty, Loop, Shared bool
 }
 
 // Config sizes a cache.
@@ -83,8 +91,8 @@ type Cache struct {
 	// order holds the per-set recency ordering: order[set*ways+k] is the
 	// way at recency rank k, rank 0 being LRU and ways-1 being MRU.
 	order []uint8
-	// lines is the cold metadata store, indexed like tags.
-	lines []Line
+	// meta is the per-line state store, indexed like tags.
+	meta []Meta
 	// fills is the running count of valid lines (see FillCount).
 	fills int
 
@@ -120,7 +128,7 @@ func New(cfg Config) *Cache {
 		tags:    make([]uint64, sets*cfg.Ways),
 		valid:   make([]uint64, sets),
 		order:   make([]uint8, sets*cfg.Ways),
-		lines:   make([]Line, sets*cfg.Ways),
+		meta:    make([]Meta, sets*cfg.Ways),
 	}
 	c.resetOrder()
 	return c
@@ -148,8 +156,22 @@ func (c *Cache) Ways() int { return c.ways }
 // SetOf maps a block number to its set index.
 func (c *Cache) SetOf(block uint64) int { return int(block & c.setMask) }
 
-// Line returns the line at (set, way) for inspection or mutation.
-func (c *Cache) Line(set, way int) *Line { return &c.lines[set*c.ways+way] }
+// Meta returns the state of the line at (set, way) for inspection or
+// mutation.
+func (c *Cache) Meta(set, way int) *Meta { return &c.meta[set*c.ways+way] }
+
+// Line assembles the contents of the line at (set, way).
+func (c *Cache) Line(set, way int) Line {
+	idx := set*c.ways + way
+	m := c.meta[idx]
+	return Line{
+		Tag:    c.tags[idx],
+		Valid:  c.valid[set]&(1<<uint(way)) != 0,
+		Dirty:  m.Dirty,
+		Loop:   m.Loop,
+		Shared: m.Shared,
+	}
+}
 
 // IsSRAMWay reports whether the given way lies in the SRAM region of a
 // hybrid cache. For single-technology caches it is always false.
@@ -159,7 +181,7 @@ func (c *Cache) IsSRAMWay(way int) bool { return way < c.cfg.SRAMWays }
 func (c *Cache) SRAMWays() int { return c.cfg.SRAMWays }
 
 // probeIn scans the packed tag array of one set for block, returning the
-// way index or -1. The cold Line array is not touched.
+// way index or -1. The Meta array is not touched.
 func (c *Cache) probeIn(set int, block uint64) int {
 	base := set * c.ways
 	tags := c.tags[base : base+c.ways]
@@ -208,7 +230,7 @@ func (c *Cache) touchIn(set, way int) {
 		}
 	}
 	if c.cfg.Replacement == ReplRRIP {
-		c.lines[base+way].rrpv = rrpvPromote
+		c.meta[base+way].rrpv = rrpvPromote
 	}
 }
 
@@ -239,11 +261,11 @@ func (c *Cache) InsertAt(set, way int, block uint64, dirty, loop bool) {
 		c.fills++
 	}
 	c.tags[idx] = block
-	l := &c.lines[idx]
-	*l = Line{Tag: block, Valid: true, Dirty: dirty, Loop: loop}
+	m := &c.meta[idx]
+	*m = Meta{Dirty: dirty, Loop: loop}
 	c.touchIn(set, way)
 	if c.cfg.Replacement == ReplRRIP {
-		l.rrpv = rrpvInsert
+		m.rrpv = rrpvInsert
 	}
 }
 
@@ -251,12 +273,11 @@ func (c *Cache) InsertAt(set, way int, block uint64, dirty, loop bool) {
 // second result is false if the line was already invalid.
 func (c *Cache) Evict(set, way int) (Line, bool) {
 	idx := set*c.ways + way
-	l := &c.lines[idx]
-	old := *l
-	*l = Line{}
+	old := c.Line(set, way)
+	c.meta[idx] = Meta{}
 	c.tags[idx] = 0
-	if bit := uint64(1) << uint(way); c.valid[set]&bit != 0 {
-		c.valid[set] &^= bit
+	if old.Valid {
+		c.valid[set] &^= 1 << uint(way)
 		c.fills--
 	}
 	return old, old.Valid
@@ -278,21 +299,15 @@ func (c *Cache) FillCount() int { return c.fills }
 
 // Reset invalidates every line and clears counters, preserving geometry.
 func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = Line{}
-	}
-	for i := range c.tags {
-		c.tags[i] = 0
-	}
-	for i := range c.valid {
-		c.valid[i] = 0
-	}
+	clear(c.meta)
+	clear(c.tags)
+	clear(c.valid)
 	c.resetOrder()
 	c.fills, c.Hits, c.Misses = 0, 0, 0
 }
 
 // State is a deep copy of a cache's contents — tags, valid bits,
-// recency order, line metadata, and counters — detached from the live
+// recency order, line state, and counters — detached from the live
 // arrays. Sampled simulation captures States during the profiling pass
 // and restores them before each measured interval, so a replay starts
 // from the warm state that trace position actually had rather than
@@ -301,7 +316,7 @@ type State struct {
 	tags         []uint64
 	valid        []uint64
 	order        []uint8
-	lines        []Line
+	meta         []Meta
 	fills        int
 	hits, misses uint64
 }
@@ -316,13 +331,13 @@ func (c *Cache) Snapshot(reuse *State) *State {
 			tags:  make([]uint64, len(c.tags)),
 			valid: make([]uint64, len(c.valid)),
 			order: make([]uint8, len(c.order)),
-			lines: make([]Line, len(c.lines)),
+			meta:  make([]Meta, len(c.meta)),
 		}
 	}
 	copy(s.tags, c.tags)
 	copy(s.valid, c.valid)
 	copy(s.order, c.order)
-	copy(s.lines, c.lines)
+	copy(s.meta, c.meta)
 	s.fills, s.hits, s.misses = c.fills, c.Hits, c.Misses
 	return s
 }
@@ -337,7 +352,7 @@ func (c *Cache) Restore(s *State) {
 	copy(c.tags, s.tags)
 	copy(c.valid, s.valid)
 	copy(c.order, s.order)
-	copy(c.lines, s.lines)
+	copy(c.meta, s.meta)
 	c.fills, c.Hits, c.Misses = s.fills, s.hits, s.misses
 }
 

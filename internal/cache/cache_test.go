@@ -104,8 +104,8 @@ func TestLoopAwareVictimPriority(t *testing.T) {
 		t.Fatalf("LRU victim = way %d, want 0", v)
 	}
 	// With only loop-blocks left, the LRU loop-block is evicted.
-	c.Line(set, 1).Loop = true
-	c.Line(set, 3).Loop = true
+	c.Meta(set, 1).Loop = true
+	c.Meta(set, 3).Loop = true
 	if v := c.LoopAwareVictim(set); v != 0 {
 		t.Fatalf("all-loop victim = way %d, want 0", v)
 	}
@@ -162,10 +162,10 @@ func TestMRUWhere(t *testing.T) {
 	c.InsertAt(0, 0, 0, false, true)
 	c.InsertAt(0, 1, 16, false, false)
 	c.InsertAt(0, 2, 32, false, true) // most recent loop-block
-	if w := c.MRUWhere(0, 0, 4, func(l *Line) bool { return l.Loop }); w != 2 {
+	if w := c.MRUWhere(0, 0, 4, func(l *Meta) bool { return l.Loop }); w != 2 {
 		t.Fatalf("MRU loop-block way = %d, want 2", w)
 	}
-	if w := c.MRUWhere(0, 0, 4, func(l *Line) bool { return l.Dirty }); w != -1 {
+	if w := c.MRUWhere(0, 0, 4, func(l *Meta) bool { return l.Dirty }); w != -1 {
 		t.Fatalf("MRUWhere(no match) = %d, want -1", w)
 	}
 }

@@ -2,12 +2,13 @@ package cache
 
 // Durable-state codecs. Checkpointing serializes live caches, dueling
 // monitors, and MSHR tables into the wire format; the codecs live here
-// because State's arrays and Line.rrpv are unexported by design. The
+// because State's arrays and Meta.rrpv are unexported by design. The
 // layout is pinned by the checkpoint format version one level up — no
 // per-structure versioning is needed.
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/checkpoint/wire"
 )
@@ -23,29 +24,31 @@ const (
 
 // encodeCacheArrays is the shared layout behind Cache.EncodeSnapshot
 // and State.Encode: live caches and detached snapshots hold the same
-// arrays.
-func encodeCacheArrays(e *wire.Encoder, tags, valid []uint64, order []uint8, lines []Line, fills int, hits, misses uint64) {
+// arrays. Each line is written as its tag and a flag byte; the tag and
+// valid flag repeat the tag and valid arrays written before them.
+func encodeCacheArrays(e *wire.Encoder, tags, valid []uint64, order []uint8, meta []Meta, fills int, hits, misses uint64) {
 	e.U64s(tags)
 	e.U64s(valid)
 	e.Raw(order)
-	e.U64(uint64(len(lines)))
-	for i := range lines {
-		l := &lines[i]
-		e.U64(l.Tag)
+	e.U64(uint64(len(meta)))
+	ways := len(tags) / len(valid)
+	for i := range meta {
+		m := &meta[i]
+		e.U64(tags[i])
 		var f byte
-		if l.Valid {
+		if valid[i/ways]&(1<<uint(i%ways)) != 0 {
 			f |= lineValid
 		}
-		if l.Dirty {
+		if m.Dirty {
 			f |= lineDirty
 		}
-		if l.Loop {
+		if m.Loop {
 			f |= lineLoop
 		}
-		if l.Shared {
+		if m.Shared {
 			f |= lineShared
 		}
-		f |= l.rrpv << lineRRPVSh
+		f |= m.rrpv << lineRRPVSh
 		e.Byte(f)
 	}
 	e.I64(int64(fills))
@@ -53,45 +56,22 @@ func encodeCacheArrays(e *wire.Encoder, tags, valid []uint64, order []uint8, lin
 	e.U64(misses)
 }
 
-func decodeLines(d *wire.Decoder) []Line {
-	n := d.Length(2) // each line is ≥ 2 bytes (tag uvarint + flags)
-	if d.Err() != nil {
-		return nil
-	}
-	lines := make([]Line, n)
-	for i := range lines {
-		l := &lines[i]
-		l.Tag = d.U64()
-		f := d.Byte()
-		l.Valid = f&lineValid != 0
-		l.Dirty = f&lineDirty != 0
-		l.Loop = f&lineLoop != 0
-		l.Shared = f&lineShared != 0
-		l.rrpv = f >> lineRRPVSh
-	}
-	if d.Err() != nil {
-		return nil
-	}
-	return lines
-}
-
 // EncodeSnapshot appends the cache's full contents — tags, valid bits,
-// recency order, line metadata, and hit/miss counters — to e.
+// recency order, line state, and hit/miss counters — to e.
 func (c *Cache) EncodeSnapshot(e *wire.Encoder) {
-	encodeCacheArrays(e, c.tags, c.valid, c.order, c.lines, c.fills, c.Hits, c.Misses)
+	encodeCacheArrays(e, c.tags, c.valid, c.order, c.meta, c.fills, c.Hits, c.Misses)
 }
 
 // RestoreSnapshot overwrites the cache's contents from a snapshot
 // written by EncodeSnapshot on a cache of identical geometry. A
-// geometry mismatch or malformed input returns an error and may leave
-// the cache partially restored; callers discard the machine on error.
+// geometry mismatch or malformed input returns an error and leaves the
+// cache untouched.
 func (c *Cache) RestoreSnapshot(d *wire.Decoder) error {
 	s, err := DecodeSnapshotState(d)
 	if err != nil {
 		return err
 	}
-	if len(s.tags) != len(c.tags) || len(s.valid) != len(c.valid) ||
-		len(s.order) != len(c.order) || len(s.lines) != len(c.lines) {
+	if len(s.tags) != len(c.tags) || len(s.valid) != len(c.valid) {
 		return fmt.Errorf("cache %q: snapshot geometry mismatch", c.cfg.Name)
 	}
 	c.Restore(s)
@@ -101,16 +81,53 @@ func (c *Cache) RestoreSnapshot(d *wire.Decoder) error {
 // Encode appends a detached snapshot to e in the same layout as
 // Cache.EncodeSnapshot.
 func (s *State) Encode(e *wire.Encoder) {
-	encodeCacheArrays(e, s.tags, s.valid, s.order, s.lines, s.fills, s.hits, s.misses)
+	encodeCacheArrays(e, s.tags, s.valid, s.order, s.meta, s.fills, s.hits, s.misses)
 }
 
 // DecodeSnapshotState reads one cache snapshot into a detached State.
+// It accepts only a state some cache could have reached: a geometry New
+// can build, per-line tags and valid flags equal to the tag and valid
+// arrays, each set's recency order a permutation of its ways, and a fill
+// count equal to the number of valid bits. Anything else is an error,
+// never a State that panics later.
 func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
 	s := &State{
 		tags:  d.U64s(),
 		valid: d.U64s(),
 		order: d.Raw(),
-		lines: decodeLines(d),
+	}
+	n := d.Length(2) // each line is ≥ 2 bytes (tag uvarint + flags)
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	sets := len(s.valid)
+	if sets == 0 || sets&(sets-1) != 0 || len(s.tags)%sets != 0 {
+		return nil, fmt.Errorf("cache: snapshot of %d tags in %d sets", len(s.tags), sets)
+	}
+	ways := len(s.tags) / sets
+	if ways < 1 || ways > 64 || len(s.order) != len(s.tags) || n != len(s.tags) {
+		return nil, fmt.Errorf("cache: snapshot arrays disagree: %d tags, %d order bytes, %d lines in %d sets",
+			len(s.tags), len(s.order), n, sets)
+	}
+	s.meta = make([]Meta, n)
+	for i := range s.meta {
+		tag, f := d.U64(), d.Byte()
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		valid := s.valid[i/ways]&(1<<uint(i%ways)) != 0
+		if tag != s.tags[i] || (f&lineValid != 0) != valid {
+			return nil, fmt.Errorf("cache: snapshot line %d disagrees with the tag and valid arrays", i)
+		}
+		if f>>lineRRPVSh > rrpvMax {
+			return nil, fmt.Errorf("cache: snapshot line %d has flag byte %#x", i, f)
+		}
+		s.meta[i] = Meta{
+			Dirty:  f&lineDirty != 0,
+			Loop:   f&lineLoop != 0,
+			Shared: f&lineShared != 0,
+			rrpv:   f >> lineRRPVSh,
+		}
 	}
 	s.fills = int(d.I64())
 	s.hits = d.U64()
@@ -118,7 +135,34 @@ func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
+	if err := s.checkSets(ways); err != nil {
+		return nil, err
+	}
 	return s, nil
+}
+
+// checkSets verifies the per-set invariants DecodeSnapshotState promises:
+// no valid bit beyond the last way, each recency order a permutation of
+// the set's ways, and fills equal to the number of valid bits.
+func (s *State) checkSets(ways int) error {
+	fills := 0
+	for set, vm := range s.valid {
+		if vm&^rangeMask(0, ways) != 0 {
+			return fmt.Errorf("cache: snapshot set %d has valid bits beyond way %d", set, ways-1)
+		}
+		fills += bits.OnesCount64(vm)
+		var seen uint64
+		for _, w := range s.order[set*ways : (set+1)*ways] {
+			if int(w) >= ways || seen&(1<<w) != 0 {
+				return fmt.Errorf("cache: snapshot set %d recency order is not a permutation of its %d ways", set, ways)
+			}
+			seen |= 1 << w
+		}
+	}
+	if fills != s.fills {
+		return fmt.Errorf("cache: snapshot fill count %d disagrees with its %d valid bits", s.fills, fills)
+	}
+	return nil
 }
 
 // DuelState is the mutable portion of a set-dueling monitor, exported

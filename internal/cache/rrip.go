@@ -50,13 +50,13 @@ func (c *Cache) rripVictimIn(set, lo, hi int) int {
 			if vm&(1<<uint(w)) == 0 {
 				return w
 			}
-			if c.lines[base+w].rrpv >= rrpvMax {
+			if c.meta[base+w].rrpv >= rrpvMax {
 				return w
 			}
 		}
 		for w := lo; w < hi; w++ {
-			if c.lines[base+w].rrpv < rrpvMax {
-				c.lines[base+w].rrpv++
+			if c.meta[base+w].rrpv < rrpvMax {
+				c.meta[base+w].rrpv++
 			}
 		}
 	}
@@ -74,7 +74,7 @@ func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 	for {
 		bestLoop := -1
 		for w := lo; w < hi; w++ {
-			l := &c.lines[base+w]
+			l := &c.meta[base+w]
 			if vm&(1<<uint(w)) == 0 {
 				return w
 			}
@@ -91,7 +91,7 @@ func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 		// every line is a loop-block, fall back to the distant loop-block.
 		anyNonLoop := false
 		for w := lo; w < hi; w++ {
-			if !c.lines[base+w].Loop {
+			if !c.meta[base+w].Loop {
 				anyNonLoop = true
 				break
 			}
@@ -100,8 +100,8 @@ func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 			return bestLoop
 		}
 		for w := lo; w < hi; w++ {
-			if c.lines[base+w].rrpv < rrpvMax {
-				c.lines[base+w].rrpv++
+			if c.meta[base+w].rrpv < rrpvMax {
+				c.meta[base+w].rrpv++
 			}
 		}
 	}
@@ -132,4 +132,4 @@ func (c *Cache) LoopVictimInRange(set, lo, hi int) int {
 }
 
 // RRPV exposes a line's re-reference prediction value for tests.
-func (c *Cache) RRPV(set, way int) uint8 { return c.lines[set*c.ways+way].rrpv }
+func (c *Cache) RRPV(set, way int) uint8 { return c.meta[set*c.ways+way].rrpv }

@@ -7,7 +7,7 @@ package cache
 // so the hybrid LLC can apply them within its SRAM or STT-RAM way regions.
 //
 // Selectors consult the valid bitmask and the per-set recency ordering;
-// only the loop-aware variants read the cold Line metadata.
+// only the loop-aware variants read the Meta array.
 
 // VictimIn returns the victim way in [lo, hi) of the given set using plain
 // LRU: an invalid way if one exists, otherwise the least recently used.
@@ -43,7 +43,7 @@ func (c *Cache) LoopAwareVictimIn(set, lo, hi int) int {
 		if int(w) < lo || int(w) >= hi {
 			continue
 		}
-		if !c.lines[base+int(w)].Loop {
+		if !c.meta[base+int(w)].Loop {
 			return int(w)
 		}
 		if lruLoop < 0 {
@@ -62,7 +62,7 @@ func (c *Cache) LoopAwareVictim(set int) int { return c.LoopAwareVictimIn(set, 0
 // MRUWhere returns the most recently used way in [lo, hi) whose line
 // satisfies pred, or -1 if none does. The hybrid LLC uses it to pick the
 // MRU loop-block to migrate from SRAM to STT-RAM (Fig. 11b).
-func (c *Cache) MRUWhere(set, lo, hi int, pred func(*Line) bool) int {
+func (c *Cache) MRUWhere(set, lo, hi int, pred func(*Meta) bool) int {
 	base := set * c.ways
 	vm := c.valid[set]
 	ord := c.order[base : base+c.ways]
@@ -71,7 +71,7 @@ func (c *Cache) MRUWhere(set, lo, hi int, pred func(*Line) bool) int {
 		if w < lo || w >= hi || vm&(1<<uint(w)) == 0 {
 			continue
 		}
-		if pred(&c.lines[base+w]) {
+		if pred(&c.meta[base+w]) {
 			return w
 		}
 	}

@@ -66,7 +66,7 @@ func (c *Hybrid) EvictL2(x *Ctx, v cache.Line) {
 	set := x.L3.SetOf(v.Tag)
 	sram := x.L3.SRAMWays()
 	if w := x.L3.Probe(v.Tag); w >= 0 {
-		l := x.L3.Line(set, w)
+		l := x.L3.Meta(set, w)
 		if v.Dirty {
 			if c.winv && !x.L3.IsSRAMWay(w) {
 				// Fig. 11a: invalidate the STT-RAM copy and write the
@@ -138,7 +138,7 @@ func (c *Hybrid) placeFull(x *Ctx, block uint64, dirty, loop bool, src WriteSour
 		c.installAt(x, set, w, block, dirty, loop, src)
 		return
 	}
-	mruLoop := x.L3.MRUWhere(set, 0, sram, func(l *cache.Line) bool { return l.Loop })
+	mruLoop := x.L3.MRUWhere(set, 0, sram, func(m *cache.Meta) bool { return m.Loop })
 	switch {
 	case mruLoop >= 0:
 		// Fig. 11b: migrate the MRU loop-block to STT-RAM, then reuse its

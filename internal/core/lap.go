@@ -112,7 +112,7 @@ func (c *LAP) EvictL2(x *Ctx, v cache.Line) {
 	x.tagAccess()
 	set := x.L3.SetOf(v.Tag)
 	if w := x.L3.Probe(v.Tag); w >= 0 {
-		l := x.L3.Line(set, w)
+		l := x.L3.Meta(set, w)
 		if v.Dirty {
 			// Dirty data and loop-bit are both updated in place.
 			l.Dirty = true

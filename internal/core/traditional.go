@@ -50,7 +50,7 @@ func (*NonInclusive) EvictL2(x *Ctx, v cache.Line) {
 	x.tagAccess()
 	if w := x.L3.Probe(v.Tag); w >= 0 {
 		set := x.L3.SetOf(v.Tag)
-		l := x.L3.Line(set, w)
+		l := x.L3.Meta(set, w)
 		l.Dirty = true
 		x.L3.Touch(set, w)
 		x.dataWrite(set, w)
@@ -103,7 +103,7 @@ func (*Exclusive) EvictL2(x *Ctx, v cache.Line) {
 	x.tagAccess()
 	if w := x.L3.Probe(v.Tag); w >= 0 {
 		set := x.L3.SetOf(v.Tag)
-		l := x.L3.Line(set, w)
+		l := x.L3.Meta(set, w)
 		l.Dirty = l.Dirty || v.Dirty
 		l.Loop = v.Loop
 		x.L3.Touch(set, w)

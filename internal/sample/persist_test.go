@@ -13,15 +13,32 @@ import (
 // original profile's — so a persisted profile can stand in for the
 // functional pass it skipped.
 func TestProfilePersistRoundTrip(t *testing.T) {
+	checkPersistRoundTrip(t, 21000) // deliberately not an interval multiple
+}
+
+// TestProfilePersistRoundTripExactMultiple covers a trace whose length
+// is a multiple of the interval: the profile must not keep a snapshot
+// at the position just past its last interval, which no replay can use
+// and which DecodeProfile rejects.
+func TestProfilePersistRoundTripExactMultiple(t *testing.T) {
+	checkPersistRoundTrip(t, 16000)
+}
+
+func checkPersistRoundTrip(t *testing.T, total uint64) {
+	t.Helper()
 	cfg := testCfg()
 	cfg.SampleInterval = 2000
 	cfg.SampleClusters = 4
 	cfg.SampleWarmup = 1
-	const total = 21000 // deliberately not an interval multiple
 
 	orig, err := BuildProfile(cfg, testSources(2, total), cfg.SampleInterval)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for pos := range orig.states {
+		if pos >= len(orig.Intervals) {
+			t.Fatalf("snapshot at %d, past the last of %d intervals", pos, len(orig.Intervals))
+		}
 	}
 	payload := orig.Encode()
 	restored, err := DecodeProfile(payload, testSources(2, total))

@@ -53,9 +53,10 @@ type Profile struct {
 }
 
 // maxStateSnapshots bounds how many cache-hierarchy snapshots a profile
-// retains. At the paper's default geometry one snapshot is ~4 MB (the
-// 8 MB LLC's metadata dominates), so a profile tops out around 70 MB of
-// state regardless of how many intervals it spans.
+// retains. At the paper's default geometry one snapshot is ~2.2 MB
+// (13 bytes per line; the 8 MB LLC's 131,072 lines dominate), so a
+// profile tops out around 35 MB of state regardless of how many
+// intervals it spans.
 const maxStateSnapshots = 16
 
 // ErrNotForkable reports sources that do not implement trace.Forker;
@@ -99,29 +100,38 @@ func BuildProfile(cfg sim.Config, srcs []trace.Source, perCore uint64) (*Profile
 		if !ok {
 			return nil, ErrNotForkable
 		}
-		if i := len(p.checkpoints); i%p.snapStride == 0 {
+		// The state at the start of interval i is captured before the
+		// window runs, but kept only once the window turns out non-empty:
+		// a snapshot past the last interval is never restored.
+		i := len(p.checkpoints)
+		var snap *sim.MachineState
+		if i%p.snapStride == 0 {
 			var reuse *sim.MachineState
 			if n := len(free); n > 0 {
 				reuse, free = free[n-1], free[:n-1]
 			}
-			p.states[i] = eng.SnapshotState(reuse)
-			if len(p.states) > maxStateSnapshots {
-				// Thin to every other snapshot. Because the stride only
-				// ever doubles, the surviving positions are exactly the
-				// multiples of the new stride.
-				p.snapStride *= 2
-				for pos, st := range p.states {
-					if pos%p.snapStride != 0 {
-						free = append(free, st)
-						delete(p.states, pos)
-					}
-				}
-			}
+			snap = eng.SnapshotState(reuse)
 		}
 		if eng.RunFunctional(perCore) == 0 {
 			break
 		}
 		p.checkpoints = append(p.checkpoints, ck)
+		if snap == nil {
+			continue
+		}
+		p.states[i] = snap
+		if len(p.states) > maxStateSnapshots {
+			// Thin to every other snapshot. Because the stride only ever
+			// doubles, the surviving positions are exactly the multiples
+			// of the new stride.
+			p.snapStride *= 2
+			for pos, st := range p.states {
+				if pos%p.snapStride != 0 {
+					free = append(free, st)
+					delete(p.states, pos)
+				}
+			}
+		}
 	}
 	if len(p.Intervals) != len(p.checkpoints) {
 		// RunFunctional flushes one Interval per non-empty window, and a

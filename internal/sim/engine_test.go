@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -163,5 +164,25 @@ func TestCountersSubAddScaledRoundTrip(t *testing.T) {
 			t.Fatalf("core %d progress diverged: %g/%d vs %g/%d",
 				i, total.Cycles[i], total.Instrs[i], final.Cycles[i], final.Instrs[i])
 		}
+	}
+}
+
+// TestSnapshotStateFootprint bounds what one cache-hierarchy snapshot
+// costs at the paper's geometry. Sampled simulation keeps up to 16 per
+// profile and one profile per mix live, so the snapshot size sets the
+// sampled runs' peak memory. Each line's state is stored once (8-byte
+// tag, 4-byte Meta, one recency byte and a valid bit: ~13 bytes), so the
+// 165,888 lines of DefaultConfig need about 2.1 MiB.
+func TestSnapshotStateFootprint(t *testing.T) {
+	cfg := DefaultConfig()
+	eng := NewEngine(cfg, core.NewLAP(), sourcesFor(loopy(), cfg.Cores, 1000), nil)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := eng.SnapshotState(nil)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(s)
+	const limit = 23 << 20 / 10 // 2.3 MiB
+	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
+		t.Fatalf("SnapshotState(nil) allocated %.2f MiB at DefaultConfig, want ≤ 2.3 MiB", float64(got)/(1<<20))
 	}
 }

@@ -537,7 +537,7 @@ func (m *machine) access(c *coreState, block uint64, write bool) uint64 {
 	// L1.
 	if w := c.l1.Lookup(block); w >= 0 {
 		set := c.l1.SetOf(block)
-		l := c.l1.Line(set, w)
+		l := c.l1.Meta(set, w)
 		if write {
 			m.onWriteHit(c, block, l)
 			l.Dirty = true
@@ -550,7 +550,7 @@ func (m *machine) access(c *coreState, block uint64, write bool) uint64 {
 	// L2.
 	if w := c.l2.Lookup(block); w >= 0 {
 		set := c.l2.SetOf(block)
-		l := c.l2.Line(set, w)
+		l := c.l2.Meta(set, w)
 		if write {
 			m.onWriteHit(c, block, l)
 			l.Loop = false // a written block is no loop-block (Fig. 10a)
@@ -622,13 +622,13 @@ func (m *machine) prefetch(c *coreState, block uint64) {
 
 // onWriteHit handles a store that hit a private-cache line: shared copies
 // elsewhere are invalidated, and the L2 duplicate's loop-bit is cleared.
-func (m *machine) onWriteHit(c *coreState, block uint64, l *cache.Line) {
+func (m *machine) onWriteHit(c *coreState, block uint64, l *cache.Meta) {
 	if l.Shared {
 		m.busWrite(c, block)
 		l.Shared = false
 	}
 	if w := c.l2.Probe(block); w >= 0 {
-		c.l2.Line(c.l2.SetOf(block), w).Loop = false
+		c.l2.Meta(c.l2.SetOf(block), w).Loop = false
 	}
 }
 
@@ -644,7 +644,7 @@ func (m *machine) busWrite(c *coreState, block uint64) {
 func (m *machine) fillL1(c *coreState, block uint64, write, shared bool) {
 	if w := c.l1.Probe(block); w >= 0 {
 		set := c.l1.SetOf(block)
-		l := c.l1.Line(set, w)
+		l := c.l1.Meta(set, w)
 		l.Dirty = l.Dirty || write
 		l.Shared = l.Shared || shared
 		c.l1.Touch(set, w)
@@ -656,14 +656,14 @@ func (m *machine) fillL1(c *coreState, block uint64, write, shared bool) {
 		m.writebackL1Victim(c, v)
 	}
 	c.l1.InsertAt(set, way, block, write, false)
-	c.l1.Line(set, way).Shared = shared
+	c.l1.Meta(set, way).Shared = shared
 }
 
 // writebackL1Victim merges a dirty L1 victim into the L2.
 func (m *machine) writebackL1Victim(c *coreState, v cache.Line) {
 	if w := c.l2.Probe(v.Tag); w >= 0 {
 		set := c.l2.SetOf(v.Tag)
-		l := c.l2.Line(set, w)
+		l := c.l2.Meta(set, w)
 		l.Dirty = true
 		l.Loop = false
 		c.l2.Touch(set, w)
@@ -678,7 +678,7 @@ func (m *machine) writebackL1Victim(c *coreState, v cache.Line) {
 func (m *machine) installL2(c *coreState, block uint64, dirty, loop, shared bool) {
 	if w := c.l2.Probe(block); w >= 0 {
 		set := c.l2.SetOf(block)
-		l := c.l2.Line(set, w)
+		l := c.l2.Meta(set, w)
 		l.Dirty = l.Dirty || dirty
 		l.Loop = loop
 		l.Shared = l.Shared || shared
@@ -691,7 +691,7 @@ func (m *machine) installL2(c *coreState, block uint64, dirty, loop, shared bool
 		m.onL2Evict(c, v)
 	}
 	c.l2.InsertAt(set, way, block, dirty, loop)
-	c.l2.Line(set, way).Shared = shared
+	c.l2.Meta(set, way).Shared = shared
 }
 
 // onL2Evict routes an L2 victim to the inclusion controller. This is
@@ -738,7 +738,7 @@ type corePeer coreState
 func (p *corePeer) ProbeBlock(block uint64, downgrade bool) (found, dirty bool) {
 	c := (*coreState)(p)
 	if w := c.l1.Probe(block); w >= 0 {
-		l := c.l1.Line(c.l1.SetOf(block), w)
+		l := c.l1.Meta(c.l1.SetOf(block), w)
 		found = true
 		if l.Dirty {
 			dirty = true
@@ -749,7 +749,7 @@ func (p *corePeer) ProbeBlock(block uint64, downgrade bool) (found, dirty bool) 
 		l.Shared = true
 	}
 	if w := c.l2.Probe(block); w >= 0 {
-		l := c.l2.Line(c.l2.SetOf(block), w)
+		l := c.l2.Meta(c.l2.SetOf(block), w)
 		found = true
 		if l.Dirty {
 			dirty = true
