@@ -62,9 +62,12 @@ sample-smoke:
 # SIGKILL it mid-simulation, restart on the same directory, re-issue the
 # run, and require the response byte-identical to an uninterrupted
 # reference with at least one warm-start restore (see cmd/resumesmoke).
+# The server binary goes to a fresh directory under $TMPDIR, removed
+# when the target ends.
 resume-smoke:
-	$(GO) build -o /tmp/lap-resume-smoke-lapserved ./cmd/lapserved
-	$(GO) run ./cmd/resumesmoke -server /tmp/lap-resume-smoke-lapserved
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/lapserved" ./cmd/lapserved && \
+	$(GO) run ./cmd/resumesmoke -server "$$dir/lapserved"
 
 # Race-enabled failure-domain suite: fault injection, panic isolation,
 # typed corruption errors, retry/breaker/drain chaos scenarios.
@@ -116,14 +119,16 @@ serve-smoke:
 # Record a real simulation timeline with lapsim -trace and validate it
 # with the strict cmd/tracecheck parser: span nesting (warmup and epochs
 # inside the run), per-interval counter tracks, numeric samples. Exits
-# non-zero if the trace exporter regresses.
+# non-zero if the trace exporter regresses. The trace goes to a fresh
+# directory under $TMPDIR, removed when the target ends.
 trace-smoke:
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	$(GO) run ./cmd/lapsim -policy LAP,non-inclusive -mix WH1 \
-		-accesses 20000 -warmup 2000 -trace /tmp/lap-trace-smoke.json -interval 1000 >/dev/null
+		-accesses 20000 -warmup 2000 -trace "$$dir/trace.json" -interval 1000 >/dev/null && \
 	$(GO) run ./cmd/tracecheck \
 		-span run,warmup,epoch \
 		-counter accesses,misses,writebacks,fills,redundant_fills,loop_blocks,bypasses \
-		-nested warmup:run,epoch:run /tmp/lap-trace-smoke.json
+		-nested warmup:run,epoch:run "$$dir/trace.json"
 
 # Run the simulation server on :8080 (see README "Serving simulations").
 serve:

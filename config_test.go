@@ -81,6 +81,7 @@ func TestValidateConfig(t *testing.T) {
 	}{
 		{"Cores", func(c *Config) { c.Cores = -1 }},
 		{"BlockBytes", func(c *Config) { c.BlockBytes = 0 }},
+		{"BlockBytes", func(c *Config) { c.BlockBytes = 32 }}, // below what a line's 58-bit block field addresses
 		{"L1SizeBytes", func(c *Config) { c.L1Ways = 0 }},
 		{"L2SizeBytes", func(c *Config) { c.L2SizeBytes = -4 }},
 		{"L3SizeBytes", func(c *Config) { c.L3Ways = 0 }},

@@ -8,43 +8,88 @@
 // divided by the block size); the hierarchy layer performs the shift once
 // at its edge.
 //
-// Each line's state is stored once, split by how often the simulator hot
-// loop touches it: a packed per-set tag array and valid bitmask are
-// scanned on every probe; the remaining per-line bits (dirty, loop-bit,
-// shared, RRPV) live in a 4-byte Meta array touched only on hits, fills
-// and evictions; and recency is a compact per-set LRU ordering (one byte
-// per way), so a touch is a byte shuffle instead of a global-counter
-// stamp write. A line costs 13 bytes in all. Line is not stored: it is
-// the value Evict and Invalidate assemble from the arrays.
+// Each line is one 64-bit word (Meta): the block number in bits 0-57 and
+// the valid, dirty, loop, shared and 2-bit RRPV bits above it, so a probe
+// compares one masked word per way and victim choice and eviction read
+// only words the probe already loaded. Recency is a compact per-set LRU
+// ordering (one byte per way), so a touch is a byte shuffle instead of a
+// global-counter stamp write. A line costs 9 bytes in all. Line is not
+// stored: it is the value Evict and Invalidate assemble from a word.
 package cache
 
-import (
-	"fmt"
-	"math/bits"
+import "fmt"
+
+// Meta is one line's whole state packed in a word: the block number in
+// bits 0-57, then the valid, dirty, loop and shared bits and the 2-bit
+// RRPV. The simulator is trace-driven, so no data payload is stored.
+// Callers read and set the dirty, loop and shared bits through the
+// pointer Cache.Meta returns; the block number and valid bit change only
+// through InsertAt/Evict/Invalidate/Reset.
+type Meta uint64
+
+// MaxBlock is the largest block number a line can hold. With blocks of at
+// least 64 bytes it covers every 64-bit address.
+const MaxBlock = 1<<blockBits - 1
+
+// Bit layout of a Meta word.
+const (
+	blockBits      = 58
+	blockMask Meta = MaxBlock
+	validBit  Meta = 1 << 58
+	dirtyBit  Meta = 1 << 59
+	loopBit   Meta = 1 << 60
+	sharedBit Meta = 1 << 61
+	rrpvShift      = 62
+	// probeMask selects what a probe compares: the block and valid bit.
+	probeMask = blockMask | validBit
 )
 
-// Meta is the per-line state stored beside a tag. The simulator is
-// trace-driven, so no data payload is stored. Callers mutate it through
-// the pointer Meta returns; the tag and valid bit change only through
-// InsertAt/Evict/Invalidate/Reset.
-type Meta struct {
-	// Dirty reports whether the block has been modified since it was
-	// filled or last written back.
-	Dirty bool
-	// Loop is the paper's loop-bit: set when the block was served by an
-	// LLC hit and has not been written since (Section III-C, Fig. 10).
-	Loop bool
-	// Shared marks lines known to be replicated in a peer core's private
-	// cache; used by the coherence model to trigger write invalidations.
-	Shared bool
-	// rrpv is the 2-bit re-reference prediction value (RRIP replacement).
-	rrpv uint8
+// Dirty reports whether the block has been modified since it was filled
+// or last written back.
+func (m Meta) Dirty() bool { return m&dirtyBit != 0 }
+
+// SetDirty sets or clears the dirty bit.
+func (m *Meta) SetDirty(on bool) { m.set(dirtyBit, on) }
+
+// Loop reports the paper's loop-bit: set when the block was served by an
+// LLC hit and has not been written since (Section III-C, Fig. 10).
+func (m Meta) Loop() bool { return m&loopBit != 0 }
+
+// SetLoop sets or clears the loop-bit.
+func (m *Meta) SetLoop(on bool) { m.set(loopBit, on) }
+
+// Shared reports whether the line is known to be replicated in a peer
+// core's private cache; the coherence model uses it to trigger write
+// invalidations.
+func (m Meta) Shared() bool { return m&sharedBit != 0 }
+
+// SetShared sets or clears the shared bit.
+func (m *Meta) SetShared(on bool) { m.set(sharedBit, on) }
+
+func (m *Meta) set(bit Meta, on bool) {
+	if on {
+		*m |= bit
+	} else {
+		*m &^= bit
+	}
 }
 
-// Line is one line's full contents, assembled from the cache's arrays:
-// the value Evict and Invalidate return and victims are handed on as.
-// Tag holds the full block number, which both identifies the block and
-// lets a line be re-expanded to its address.
+func (m Meta) valid() bool { return m&validBit != 0 }
+
+// rrpv returns the 2-bit re-reference prediction value (RRIP replacement).
+func (m Meta) rrpv() uint8 { return uint8(m >> rrpvShift) }
+
+func (m *Meta) setRRPV(v uint8) { *m = *m&^(rrpvMax<<rrpvShift) | Meta(v)<<rrpvShift }
+
+// line unpacks the word into a Line.
+func (m Meta) line() Line {
+	return Line{Tag: uint64(m & blockMask), Valid: m.valid(), Dirty: m.Dirty(), Loop: m.Loop(), Shared: m.Shared()}
+}
+
+// Line is one line's contents unpacked from its word: the value Evict and
+// Invalidate return and victims are handed on as. Tag holds the full
+// block number, which both identifies the block and lets a line be
+// re-expanded to its address.
 type Line struct {
 	// Tag is the block number stored in this line.
 	Tag uint64
@@ -83,16 +128,11 @@ type Cache struct {
 	numSets int
 	setMask uint64
 	ways    int
-	// tags is the packed per-set tag array: tags[set*ways+way] is the
-	// block number when the corresponding valid bit is set.
-	tags []uint64
-	// valid holds one bitmask word per set; bit w is way w's valid bit.
-	valid []uint64
+	// lines holds one word per line: lines[set*ways+way].
+	lines []Meta
 	// order holds the per-set recency ordering: order[set*ways+k] is the
 	// way at recency rank k, rank 0 being LRU and ways-1 being MRU.
 	order []uint8
-	// meta is the per-line state store, indexed like tags.
-	meta []Meta
 	// fills is the running count of valid lines (see FillCount).
 	fills int
 
@@ -125,10 +165,8 @@ func New(cfg Config) *Cache {
 		numSets: sets,
 		setMask: uint64(sets - 1),
 		ways:    cfg.Ways,
-		tags:    make([]uint64, sets*cfg.Ways),
-		valid:   make([]uint64, sets),
+		lines:   make([]Meta, sets*cfg.Ways),
 		order:   make([]uint8, sets*cfg.Ways),
-		meta:    make([]Meta, sets*cfg.Ways),
 	}
 	c.resetOrder()
 	return c
@@ -156,22 +194,12 @@ func (c *Cache) Ways() int { return c.ways }
 // SetOf maps a block number to its set index.
 func (c *Cache) SetOf(block uint64) int { return int(block & c.setMask) }
 
-// Meta returns the state of the line at (set, way) for inspection or
+// Meta returns the word of the line at (set, way) for inspection or
 // mutation.
-func (c *Cache) Meta(set, way int) *Meta { return &c.meta[set*c.ways+way] }
+func (c *Cache) Meta(set, way int) *Meta { return &c.lines[set*c.ways+way] }
 
-// Line assembles the contents of the line at (set, way).
-func (c *Cache) Line(set, way int) Line {
-	idx := set*c.ways + way
-	m := c.meta[idx]
-	return Line{
-		Tag:    c.tags[idx],
-		Valid:  c.valid[set]&(1<<uint(way)) != 0,
-		Dirty:  m.Dirty,
-		Loop:   m.Loop,
-		Shared: m.Shared,
-	}
-}
+// Line unpacks the contents of the line at (set, way).
+func (c *Cache) Line(set, way int) Line { return c.lines[set*c.ways+way].line() }
 
 // IsSRAMWay reports whether the given way lies in the SRAM region of a
 // hybrid cache. For single-technology caches it is always false.
@@ -180,14 +208,13 @@ func (c *Cache) IsSRAMWay(way int) bool { return way < c.cfg.SRAMWays }
 // SRAMWays returns the number of SRAM ways per set (0 for single-tech).
 func (c *Cache) SRAMWays() int { return c.cfg.SRAMWays }
 
-// probeIn scans the packed tag array of one set for block, returning the
-// way index or -1. The Meta array is not touched.
+// probeIn scans one set's words for a valid line holding block,
+// returning the way index or -1.
 func (c *Cache) probeIn(set int, block uint64) int {
 	base := set * c.ways
-	tags := c.tags[base : base+c.ways]
-	vm := c.valid[set]
-	for w, t := range tags {
-		if t == block && vm&(1<<uint(w)) != 0 {
+	key := Meta(block) | validBit
+	for w, l := range c.lines[base : base+c.ways] {
+		if l&probeMask == key {
 			return w
 		}
 	}
@@ -214,23 +241,30 @@ func (c *Cache) Lookup(block uint64) int {
 	return w
 }
 
-// touchIn moves (set, way) to the MRU rank of its set's recency ordering.
-func (c *Cache) touchIn(set, way int) {
+// toMRU moves (set, way) to the MRU rank of its set's recency ordering.
+func (c *Cache) toMRU(set, way int) {
 	base := set * c.ways
 	ord := c.order[base : base+c.ways]
 	w := uint8(way)
 	last := c.ways - 1
-	if ord[last] != w {
-		for i, v := range ord {
-			if v == w {
-				copy(ord[i:], ord[i+1:])
-				ord[last] = w
-				break
-			}
+	if ord[last] == w {
+		return
+	}
+	for i, v := range ord {
+		if v == w {
+			copy(ord[i:], ord[i+1:])
+			ord[last] = w
+			return
 		}
 	}
+}
+
+// touchIn promotes (set, way) to MRU and, under RRIP, predicts an
+// immediate re-reference.
+func (c *Cache) touchIn(set, way int) {
+	c.toMRU(set, way)
 	if c.cfg.Replacement == ReplRRIP {
-		c.meta[base+way].rrpv = rrpvPromote
+		c.lines[set*c.ways+way].setRRPV(rrpvPromote)
 	}
 }
 
@@ -253,31 +287,37 @@ func (c *Cache) Stamp(set, way int) uint64 {
 
 // InsertAt places a block into (set, way), overwriting whatever was there,
 // and promotes it to MRU. The caller is responsible for having evicted the
-// previous occupant (see Evict).
+// previous occupant (see Evict). It panics on a block above MaxBlock,
+// which a word cannot hold.
 func (c *Cache) InsertAt(set, way int, block uint64, dirty, loop bool) {
-	idx := set*c.ways + way
-	if bit := uint64(1) << uint(way); c.valid[set]&bit == 0 {
-		c.valid[set] |= bit
+	if block > MaxBlock {
+		panic(fmt.Sprintf("cache %q: block %#x exceeds MaxBlock", c.cfg.Name, block))
+	}
+	l := &c.lines[set*c.ways+way]
+	if !l.valid() {
 		c.fills++
 	}
-	c.tags[idx] = block
-	m := &c.meta[idx]
-	*m = Meta{Dirty: dirty, Loop: loop}
-	c.touchIn(set, way)
-	if c.cfg.Replacement == ReplRRIP {
-		m.rrpv = rrpvInsert
+	m := Meta(block) | validBit
+	if dirty {
+		m |= dirtyBit
 	}
+	if loop {
+		m |= loopBit
+	}
+	if c.cfg.Replacement == ReplRRIP {
+		m |= rrpvInsert << rrpvShift
+	}
+	*l = m
+	c.toMRU(set, way)
 }
 
 // Evict invalidates (set, way) and returns the previous contents. The
 // second result is false if the line was already invalid.
 func (c *Cache) Evict(set, way int) (Line, bool) {
-	idx := set*c.ways + way
-	old := c.Line(set, way)
-	c.meta[idx] = Meta{}
-	c.tags[idx] = 0
+	l := &c.lines[set*c.ways+way]
+	old := l.line()
+	*l = 0
 	if old.Valid {
-		c.valid[set] &^= 1 << uint(way)
 		c.fills--
 	}
 	return old, old.Valid
@@ -299,24 +339,21 @@ func (c *Cache) FillCount() int { return c.fills }
 
 // Reset invalidates every line and clears counters, preserving geometry.
 func (c *Cache) Reset() {
-	clear(c.meta)
-	clear(c.tags)
-	clear(c.valid)
+	clear(c.lines)
 	c.resetOrder()
 	c.fills, c.Hits, c.Misses = 0, 0, 0
 }
 
-// State is a deep copy of a cache's contents — tags, valid bits,
-// recency order, line state, and counters — detached from the live
-// arrays. Sampled simulation captures States during the profiling pass
-// and restores them before each measured interval, so a replay starts
-// from the warm state that trace position actually had rather than
-// whatever an earlier jump left behind.
+// State is a deep copy of a cache's contents — line words, recency
+// order, and counters — detached from the live arrays. Sampled
+// simulation captures States during the profiling pass and restores
+// them before each measured interval, so a replay starts from the warm
+// state that trace position actually had rather than whatever an
+// earlier jump left behind.
 type State struct {
-	tags         []uint64
-	valid        []uint64
+	lines        []Meta
 	order        []uint8
-	meta         []Meta
+	sets         int
 	fills        int
 	hits, misses uint64
 }
@@ -326,19 +363,15 @@ type State struct {
 // recycled, so a periodic snapshotter allocates only once.
 func (c *Cache) Snapshot(reuse *State) *State {
 	s := reuse
-	if s == nil || len(s.tags) != len(c.tags) {
+	if s == nil || len(s.lines) != len(c.lines) {
 		s = &State{
-			tags:  make([]uint64, len(c.tags)),
-			valid: make([]uint64, len(c.valid)),
+			lines: make([]Meta, len(c.lines)),
 			order: make([]uint8, len(c.order)),
-			meta:  make([]Meta, len(c.meta)),
 		}
 	}
-	copy(s.tags, c.tags)
-	copy(s.valid, c.valid)
+	copy(s.lines, c.lines)
 	copy(s.order, c.order)
-	copy(s.meta, c.meta)
-	s.fills, s.hits, s.misses = c.fills, c.Hits, c.Misses
+	s.sets, s.fills, s.hits, s.misses = c.numSets, c.fills, c.Hits, c.Misses
 	return s
 }
 
@@ -346,26 +379,21 @@ func (c *Cache) Snapshot(reuse *State) *State {
 // cache with identical geometry. It panics on a size mismatch, since
 // restoring across geometries is always a caller bug.
 func (c *Cache) Restore(s *State) {
-	if len(s.tags) != len(c.tags) || len(s.valid) != len(c.valid) {
+	if s.sets != c.numSets || len(s.lines) != len(c.lines) {
 		panic(fmt.Sprintf("cache %q: restoring snapshot of different geometry", c.cfg.Name))
 	}
-	copy(c.tags, s.tags)
-	copy(c.valid, s.valid)
+	copy(c.lines, s.lines)
 	copy(c.order, s.order)
-	copy(c.meta, s.meta)
 	c.fills, c.Hits, c.Misses = s.fills, s.hits, s.misses
-}
-
-// rangeMask returns the bitmask selecting ways [lo, hi).
-func rangeMask(lo, hi int) uint64 {
-	m := ^uint64(0) >> uint(64-(hi-lo))
-	return m << uint(lo)
 }
 
 // invalidIn returns the lowest invalid way in [lo, hi), or -1.
 func (c *Cache) invalidIn(set, lo, hi int) int {
-	if inv := ^c.valid[set] & rangeMask(lo, hi); inv != 0 {
-		return bits.TrailingZeros64(inv)
+	base := set * c.ways
+	for w, l := range c.lines[base+lo : base+hi] {
+		if !l.valid() {
+			return lo + w
+		}
 	}
 	return -1
 }

@@ -2,7 +2,7 @@ package cache
 
 // Durable-state codecs. Checkpointing serializes live caches, dueling
 // monitors, and MSHR tables into the wire format; the codecs live here
-// because State's arrays and Meta.rrpv are unexported by design. The
+// because State's arrays and the RRPV bits are unexported by design. The
 // layout is pinned by the checkpoint format version one level up — no
 // per-structure versioning is needed.
 
@@ -24,31 +24,44 @@ const (
 
 // encodeCacheArrays is the shared layout behind Cache.EncodeSnapshot
 // and State.Encode: live caches and detached snapshots hold the same
-// arrays. Each line is written as its tag and a flag byte; the tag and
-// valid flag repeat the tag and valid arrays written before them.
-func encodeCacheArrays(e *wire.Encoder, tags, valid []uint64, order []uint8, meta []Meta, fills int, hits, misses uint64) {
-	e.U64s(tags)
-	e.U64s(valid)
+// arrays. Checkpoints and profiles written by earlier builds must still
+// load, so the layout stays pinned: a tag array, a per-set valid bitmask
+// and the recency order, then each line again as its tag and a flag
+// byte.
+func encodeCacheArrays(e *wire.Encoder, lines []Meta, order []uint8, sets, fills int, hits, misses uint64) {
+	ways := len(lines) / sets
+	e.U64(uint64(len(lines)))
+	for _, l := range lines {
+		e.U64(uint64(l & blockMask))
+	}
+	e.U64(uint64(sets))
+	for set := 0; set < sets; set++ {
+		var vm uint64
+		for w, l := range lines[set*ways : (set+1)*ways] {
+			if l.valid() {
+				vm |= 1 << uint(w)
+			}
+		}
+		e.U64(vm)
+	}
 	e.Raw(order)
-	e.U64(uint64(len(meta)))
-	ways := len(tags) / len(valid)
-	for i := range meta {
-		m := &meta[i]
-		e.U64(tags[i])
+	e.U64(uint64(len(lines)))
+	for _, l := range lines {
+		e.U64(uint64(l & blockMask))
 		var f byte
-		if valid[i/ways]&(1<<uint(i%ways)) != 0 {
+		if l.valid() {
 			f |= lineValid
 		}
-		if m.Dirty {
+		if l.Dirty() {
 			f |= lineDirty
 		}
-		if m.Loop {
+		if l.Loop() {
 			f |= lineLoop
 		}
-		if m.Shared {
+		if l.Shared() {
 			f |= lineShared
 		}
-		f |= m.rrpv << lineRRPVSh
+		f |= l.rrpv() << lineRRPVSh
 		e.Byte(f)
 	}
 	e.I64(int64(fills))
@@ -59,7 +72,7 @@ func encodeCacheArrays(e *wire.Encoder, tags, valid []uint64, order []uint8, met
 // EncodeSnapshot appends the cache's full contents — tags, valid bits,
 // recency order, line state, and hit/miss counters — to e.
 func (c *Cache) EncodeSnapshot(e *wire.Encoder) {
-	encodeCacheArrays(e, c.tags, c.valid, c.order, c.meta, c.fills, c.Hits, c.Misses)
+	encodeCacheArrays(e, c.lines, c.order, c.numSets, c.fills, c.Hits, c.Misses)
 }
 
 // RestoreSnapshot overwrites the cache's contents from a snapshot
@@ -71,7 +84,7 @@ func (c *Cache) RestoreSnapshot(d *wire.Decoder) error {
 	if err != nil {
 		return err
 	}
-	if len(s.tags) != len(c.tags) || len(s.valid) != len(c.valid) {
+	if s.sets != c.numSets || len(s.lines) != len(c.lines) {
 		return fmt.Errorf("cache %q: snapshot geometry mismatch", c.cfg.Name)
 	}
 	c.Restore(s)
@@ -81,53 +94,54 @@ func (c *Cache) RestoreSnapshot(d *wire.Decoder) error {
 // Encode appends a detached snapshot to e in the same layout as
 // Cache.EncodeSnapshot.
 func (s *State) Encode(e *wire.Encoder) {
-	encodeCacheArrays(e, s.tags, s.valid, s.order, s.meta, s.fills, s.hits, s.misses)
+	encodeCacheArrays(e, s.lines, s.order, s.sets, s.fills, s.hits, s.misses)
 }
 
 // DecodeSnapshotState reads one cache snapshot into a detached State.
 // It accepts only a state some cache could have reached: a geometry New
-// can build, per-line tags and valid flags equal to the tag and valid
-// arrays, each set's recency order a permutation of its ways, and a fill
-// count equal to the number of valid bits. Anything else is an error,
-// never a State that panics later.
+// can build, tags no wider than MaxBlock, per-line tags and valid flags
+// equal to the tag and valid arrays, each set's recency order a
+// permutation of its ways, and a fill count equal to the number of valid
+// bits. Anything else is an error, never a State that panics later.
 func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
-	s := &State{
-		tags:  d.U64s(),
-		valid: d.U64s(),
-		order: d.Raw(),
-	}
+	tags, valid, order := d.U64s(), d.U64s(), d.Raw()
 	n := d.Length(2) // each line is ≥ 2 bytes (tag uvarint + flags)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	sets := len(s.valid)
-	if sets == 0 || sets&(sets-1) != 0 || len(s.tags)%sets != 0 {
-		return nil, fmt.Errorf("cache: snapshot of %d tags in %d sets", len(s.tags), sets)
+	sets := len(valid)
+	if sets == 0 || sets&(sets-1) != 0 || len(tags)%sets != 0 {
+		return nil, fmt.Errorf("cache: snapshot of %d tags in %d sets", len(tags), sets)
 	}
-	ways := len(s.tags) / sets
-	if ways < 1 || ways > 64 || len(s.order) != len(s.tags) || n != len(s.tags) {
+	ways := len(tags) / sets
+	if ways < 1 || ways > 64 || len(order) != len(tags) || n != len(tags) {
 		return nil, fmt.Errorf("cache: snapshot arrays disagree: %d tags, %d order bytes, %d lines in %d sets",
-			len(s.tags), len(s.order), n, sets)
+			len(tags), len(order), n, sets)
 	}
-	s.meta = make([]Meta, n)
-	for i := range s.meta {
+	s := &State{lines: make([]Meta, n), order: order, sets: sets}
+	for i := range s.lines {
 		tag, f := d.U64(), d.Byte()
 		if err := d.Err(); err != nil {
 			return nil, err
 		}
-		valid := s.valid[i/ways]&(1<<uint(i%ways)) != 0
-		if tag != s.tags[i] || (f&lineValid != 0) != valid {
+		isValid := valid[i/ways]&(1<<uint(i%ways)) != 0
+		if tag != tags[i] || (f&lineValid != 0) != isValid {
 			return nil, fmt.Errorf("cache: snapshot line %d disagrees with the tag and valid arrays", i)
+		}
+		if tag > MaxBlock {
+			return nil, fmt.Errorf("cache: snapshot line %d has tag %#x wider than %d bits", i, tag, blockBits)
 		}
 		if f>>lineRRPVSh > rrpvMax {
 			return nil, fmt.Errorf("cache: snapshot line %d has flag byte %#x", i, f)
 		}
-		s.meta[i] = Meta{
-			Dirty:  f&lineDirty != 0,
-			Loop:   f&lineLoop != 0,
-			Shared: f&lineShared != 0,
-			rrpv:   f >> lineRRPVSh,
+		m := Meta(tag) | Meta(f>>lineRRPVSh)<<rrpvShift
+		if isValid {
+			m |= validBit
 		}
+		m.SetDirty(f&lineDirty != 0)
+		m.SetLoop(f&lineLoop != 0)
+		m.SetShared(f&lineShared != 0)
+		s.lines[i] = m
 	}
 	s.fills = int(d.I64())
 	s.hits = d.U64()
@@ -135,7 +149,7 @@ func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if err := s.checkSets(ways); err != nil {
+	if err := s.checkSets(valid, ways); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -144,10 +158,10 @@ func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
 // checkSets verifies the per-set invariants DecodeSnapshotState promises:
 // no valid bit beyond the last way, each recency order a permutation of
 // the set's ways, and fills equal to the number of valid bits.
-func (s *State) checkSets(ways int) error {
+func (s *State) checkSets(valid []uint64, ways int) error {
 	fills := 0
-	for set, vm := range s.valid {
-		if vm&^rangeMask(0, ways) != 0 {
+	for set, vm := range valid {
+		if vm>>uint(ways) != 0 {
 			return fmt.Errorf("cache: snapshot set %d has valid bits beyond way %d", set, ways-1)
 		}
 		fills += bits.OnesCount64(vm)

@@ -2,7 +2,9 @@ package cache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +22,7 @@ func wireCache(r Replacement) *Cache {
 		set := c.SetOf(b)
 		if w := c.Lookup(b); w >= 0 {
 			if i%3 == 0 {
-				c.Meta(set, w).Dirty = true
+				c.Meta(set, w).SetDirty(true)
 			}
 			continue
 		}
@@ -33,7 +35,7 @@ func wireCache(r Replacement) *Cache {
 		c.Evict(set, w)
 		c.InsertAt(set, w, b, i%4 == 1, i%5 == 2)
 		if i%3 == 2 {
-			c.Meta(set, w).Shared = true
+			c.Meta(set, w).SetShared(true)
 		}
 	}
 	c.Invalidate(13)
@@ -108,26 +110,32 @@ func TestDecodeSnapshotStateRejectsInconsistent(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name   string
-		mutate func(b []byte)
+		mutate func(b []byte) []byte
 		want   string // substring of the error
 	}{
 		// Payload tag of line 0 no longer equals tags[0].
-		{"tag mismatch", func(b []byte) { b[linesOff] ^= 1 }, "disagrees with the tag and valid arrays"},
+		{"tag mismatch", func(b []byte) []byte { b[linesOff] ^= 1; return b }, "disagrees with the tag and valid arrays"},
 		// Line 0's valid flag cleared while its valid bit stays set.
-		{"valid mismatch", func(b []byte) { b[linesOff+1] &^= lineValid }, "disagrees with the tag and valid arrays"},
+		{"valid mismatch", func(b []byte) []byte { b[linesOff+1] &^= lineValid; return b }, "disagrees with the tag and valid arrays"},
+		// Line 0's tag, in both places, one past what a line's block
+		// field holds.
+		{"tag too wide", func(b []byte) []byte {
+			wide := binary.AppendUvarint(nil, MaxBlock+1)
+			b = slices.Replace(b, linesOff, linesOff+1, wide...)
+			return slices.Replace(b, tagsOff, tagsOff+1, wide...)
+		}, "wider than 58 bits"},
 		// Flag byte with bits above the 2-bit RRPV.
-		{"rrpv range", func(b []byte) { b[linesOff+1] |= 0xc0 }, "flag byte"},
+		{"rrpv range", func(b []byte) []byte { b[linesOff+1] |= 0xc0; return b }, "flag byte"},
 		// Set 0's order names way 4 of a 4-way set.
-		{"order out of range", func(b []byte) { b[orderOff] = 4 }, "not a permutation"},
+		{"order out of range", func(b []byte) []byte { b[orderOff] = 4; return b }, "not a permutation"},
 		// Set 0's order repeats a way.
-		{"order repeats", func(b []byte) { b[orderOff+1] = b[orderOff] }, "not a permutation"},
+		{"order repeats", func(b []byte) []byte { b[orderOff+1] = b[orderOff]; return b }, "not a permutation"},
 		// Set 0 claims a fifth way.
-		{"valid beyond ways", func(b []byte) { b[validOff] |= 0x10 }, "valid bits beyond way 3"},
+		{"valid beyond ways", func(b []byte) []byte { b[validOff] |= 0x10; return b }, "valid bits beyond way 3"},
 		// Fill count (the zigzag varint after the lines) one too high.
-		{"fills", func(b []byte) { b[len(b)-3] += 2 }, "fill count"},
+		{"fills", func(b []byte) []byte { b[len(b)-3] += 2; return b }, "fill count"},
 	} {
-		bad := append([]byte(nil), good...)
-		tc.mutate(bad)
+		bad := tc.mutate(append([]byte(nil), good...))
 		_, err := DecodeSnapshotState(wire.NewDecoder(bad))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: decode error %v, want one containing %q", tc.name, err, tc.want)
@@ -155,8 +163,8 @@ func FuzzDecodeSnapshotState(f *testing.F) {
 		if err != nil {
 			return
 		}
-		sets := len(s.valid)
-		ways := len(s.tags) / sets
+		sets := s.sets
+		ways := len(s.lines) / sets
 		for _, r := range []Replacement{ReplLRU, ReplRRIP} {
 			c := New(Config{Name: "f", SizeBytes: sets * ways * 64, Ways: ways, BlockBytes: 64,
 				SRAMWays: ways / 2, Replacement: r})
@@ -184,7 +192,7 @@ func exercise(t *testing.T, c *Cache) {
 			}
 			c.Evict(set, w)
 			c.InsertAt(set, w, block, k%2 == 0, k%3 == 0)
-			c.MRUWhere(set, 0, c.Ways(), func(m *Meta) bool { return m.Loop })
+			c.MRUWhere(set, 0, c.Ways(), func(m *Meta) bool { return m.Loop() })
 		}
 	}
 	fills := 0

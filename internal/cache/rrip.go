@@ -43,22 +43,14 @@ func (c *Cache) rripVictimIn(set, lo, hi int) int {
 	if lo >= hi {
 		panic("cache: empty victim range")
 	}
-	base := set * c.ways
-	vm := c.valid[set]
+	lines := c.lines[set*c.ways+lo : set*c.ways+hi]
 	for {
-		for w := lo; w < hi; w++ {
-			if vm&(1<<uint(w)) == 0 {
-				return w
-			}
-			if c.meta[base+w].rrpv >= rrpvMax {
-				return w
+		for w, l := range lines {
+			if !l.valid() || l.rrpv() >= rrpvMax {
+				return lo + w
 			}
 		}
-		for w := lo; w < hi; w++ {
-			if c.meta[base+w].rrpv < rrpvMax {
-				c.meta[base+w].rrpv++
-			}
-		}
+		age(lines)
 	}
 }
 
@@ -69,29 +61,27 @@ func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 	if lo >= hi {
 		panic("cache: empty victim range")
 	}
-	base := set * c.ways
-	vm := c.valid[set]
+	lines := c.lines[set*c.ways+lo : set*c.ways+hi]
 	for {
 		bestLoop := -1
-		for w := lo; w < hi; w++ {
-			l := &c.meta[base+w]
-			if vm&(1<<uint(w)) == 0 {
-				return w
+		for w, l := range lines {
+			if !l.valid() {
+				return lo + w
 			}
-			if l.rrpv >= rrpvMax {
-				if !l.Loop {
-					return w
+			if l.rrpv() >= rrpvMax {
+				if !l.Loop() {
+					return lo + w
 				}
 				if bestLoop < 0 {
-					bestLoop = w
+					bestLoop = lo + w
 				}
 			}
 		}
 		// Check whether any non-loop block can still age to distant; if
 		// every line is a loop-block, fall back to the distant loop-block.
 		anyNonLoop := false
-		for w := lo; w < hi; w++ {
-			if !c.meta[base+w].Loop {
+		for _, l := range lines {
+			if !l.Loop() {
 				anyNonLoop = true
 				break
 			}
@@ -99,10 +89,15 @@ func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 		if !anyNonLoop && bestLoop >= 0 {
 			return bestLoop
 		}
-		for w := lo; w < hi; w++ {
-			if c.meta[base+w].rrpv < rrpvMax {
-				c.meta[base+w].rrpv++
-			}
+		age(lines)
+	}
+}
+
+// age advances every line's RRPV one step toward distant, in place.
+func age(lines []Meta) {
+	for i := range lines {
+		if lines[i].rrpv() < rrpvMax {
+			lines[i] += 1 << rrpvShift
 		}
 	}
 }
@@ -132,4 +127,4 @@ func (c *Cache) LoopVictimInRange(set, lo, hi int) int {
 }
 
 // RRPV exposes a line's re-reference prediction value for tests.
-func (c *Cache) RRPV(set, way int) uint8 { return c.meta[set*c.ways+way].rrpv }
+func (c *Cache) RRPV(set, way int) uint8 { return c.lines[set*c.ways+way].rrpv() }

@@ -72,7 +72,7 @@ func TestRRIPLoopAwarePrefersNonLoop(t *testing.T) {
 		t.Fatalf("loop-aware RRIP victim = way %d, want 1 (non-loop)", v)
 	}
 	// All loop-blocks: fall back to a distant loop-block.
-	c.Meta(0, 1).Loop = true
+	c.Meta(0, 1).SetLoop(true)
 	v := c.LoopVictim(0)
 	if v < 0 || v > 3 {
 		t.Fatalf("all-loop victim = %d", v)

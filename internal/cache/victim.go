@@ -6,8 +6,7 @@ package cache
 // baseline is plain LRU. Both are provided as range-restricted primitives
 // so the hybrid LLC can apply them within its SRAM or STT-RAM way regions.
 //
-// Selectors consult the valid bitmask and the per-set recency ordering;
-// only the loop-aware variants read the Meta array.
+// Selectors consult the set's line words and its recency ordering.
 
 // VictimIn returns the victim way in [lo, hi) of the given set using plain
 // LRU: an invalid way if one exists, otherwise the least recently used.
@@ -43,7 +42,7 @@ func (c *Cache) LoopAwareVictimIn(set, lo, hi int) int {
 		if int(w) < lo || int(w) >= hi {
 			continue
 		}
-		if !c.meta[base+int(w)].Loop {
+		if !c.lines[base+int(w)].Loop() {
 			return int(w)
 		}
 		if lruLoop < 0 {
@@ -64,14 +63,13 @@ func (c *Cache) LoopAwareVictim(set int) int { return c.LoopAwareVictimIn(set, 0
 // MRU loop-block to migrate from SRAM to STT-RAM (Fig. 11b).
 func (c *Cache) MRUWhere(set, lo, hi int, pred func(*Meta) bool) int {
 	base := set * c.ways
-	vm := c.valid[set]
 	ord := c.order[base : base+c.ways]
 	for i := c.ways - 1; i >= 0; i-- {
 		w := int(ord[i])
-		if w < lo || w >= hi || vm&(1<<uint(w)) == 0 {
+		if w < lo || w >= hi {
 			continue
 		}
-		if pred(&c.meta[base+w]) {
+		if l := &c.lines[base+w]; l.valid() && pred(l) {
 			return w
 		}
 	}

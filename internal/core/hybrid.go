@@ -78,15 +78,15 @@ func (c *Hybrid) EvictL2(x *Ctx, v cache.Line) {
 				c.place(x, v.Tag, true, v.Loop, SrcDirty)
 				return
 			}
-			l.Dirty = true
-			l.Loop = v.Loop
+			l.SetDirty(true)
+			l.SetLoop(v.Loop)
 			x.L3.Touch(set, w)
 			x.dataWrite(set, w)
 			x.Met.AddWrite(SrcDirty)
 			return
 		}
 		// Clean victim with a duplicate: tag-only loop-bit refresh (LAP).
-		l.Loop = v.Loop
+		l.SetLoop(v.Loop)
 		x.L3.Touch(set, w)
 		x.tagAccess()
 		x.Met.TagOnlyUpdates++
@@ -138,7 +138,7 @@ func (c *Hybrid) placeFull(x *Ctx, block uint64, dirty, loop bool, src WriteSour
 		c.installAt(x, set, w, block, dirty, loop, src)
 		return
 	}
-	mruLoop := x.L3.MRUWhere(set, 0, sram, func(m *cache.Meta) bool { return m.Loop })
+	mruLoop := x.L3.MRUWhere(set, 0, sram, func(m *cache.Meta) bool { return m.Loop() })
 	switch {
 	case mruLoop >= 0:
 		// Fig. 11b: migrate the MRU loop-block to STT-RAM, then reuse its

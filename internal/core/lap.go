@@ -115,8 +115,8 @@ func (c *LAP) EvictL2(x *Ctx, v cache.Line) {
 		l := x.L3.Meta(set, w)
 		if v.Dirty {
 			// Dirty data and loop-bit are both updated in place.
-			l.Dirty = true
-			l.Loop = v.Loop
+			l.SetDirty(true)
+			l.SetLoop(v.Loop)
 			x.L3.Touch(set, w)
 			x.dataWrite(set, w)
 			x.Met.AddWrite(SrcDirty)
@@ -124,7 +124,7 @@ func (c *LAP) EvictL2(x *Ctx, v cache.Line) {
 		}
 		// Clean victim with a duplicate: drop the data, refresh only the
 		// loop-bit in the SRAM tag array — the write LAP exists to avoid.
-		l.Loop = v.Loop
+		l.SetLoop(v.Loop)
 		x.L3.Touch(set, w)
 		x.tagAccess()
 		x.Met.TagOnlyUpdates++

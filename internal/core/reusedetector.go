@@ -88,8 +88,7 @@ func (c *ReuseDetector) EvictL2(x *Ctx, v cache.Line) {
 	x.tagAccess()
 	if w := x.L3.Probe(v.Tag); w >= 0 {
 		set := x.L3.SetOf(v.Tag)
-		l := x.L3.Meta(set, w)
-		l.Dirty = true
+		x.L3.Meta(set, w).SetDirty(true)
 		x.L3.Touch(set, w)
 		x.dataWrite(set, w)
 		x.Met.AddWrite(SrcDirty)

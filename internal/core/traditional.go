@@ -50,8 +50,7 @@ func (*NonInclusive) EvictL2(x *Ctx, v cache.Line) {
 	x.tagAccess()
 	if w := x.L3.Probe(v.Tag); w >= 0 {
 		set := x.L3.SetOf(v.Tag)
-		l := x.L3.Meta(set, w)
-		l.Dirty = true
+		x.L3.Meta(set, w).SetDirty(true)
 		x.L3.Touch(set, w)
 		x.dataWrite(set, w)
 		x.Met.AddWrite(SrcDirty)
@@ -104,8 +103,10 @@ func (*Exclusive) EvictL2(x *Ctx, v cache.Line) {
 	if w := x.L3.Probe(v.Tag); w >= 0 {
 		set := x.L3.SetOf(v.Tag)
 		l := x.L3.Meta(set, w)
-		l.Dirty = l.Dirty || v.Dirty
-		l.Loop = v.Loop
+		if v.Dirty {
+			l.SetDirty(true)
+		}
+		l.SetLoop(v.Loop)
 		x.L3.Touch(set, w)
 		x.dataWrite(set, w)
 		x.Met.AddWrite(src)

@@ -35,11 +35,14 @@ func warm(opt Options, batch []func()) {
 
 // mixRunBatch builds the warm batch for one run per (mix, policy) pair
 // under cfg. Compose batches across configurations with append before a
-// single warm call to maximise overlap.
+// single warm call to maximise overlap. Units are policy-major: in
+// sampled mode every run of a mix waits on that mix's one functional
+// profile, so mix-major order would start all workers on the same mix
+// and leave all but one blocked while it profiles.
 func mixRunBatch(cfg sim.Config, opt Options, mixes []workload.Mix, pols ...namedPolicy) []func() {
 	batch := make([]func(), 0, len(mixes)*len(pols))
-	for _, mix := range mixes {
-		for _, p := range pols {
+	for _, p := range pols {
+		for _, mix := range mixes {
 			mix, p := mix, p
 			batch = append(batch, func() { run(cfg, p.Name, p.New, mix, opt) })
 		}

@@ -81,6 +81,30 @@ func TestDeterminismAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestSampledDeterminismAcrossJobs regenerates Fig. 14 in sampled mode
+// serially and on a 4-worker pool and requires identical rows: the warm
+// pass is only a hint, so the order in which workers build the per-mix
+// profiles must not reach the output.
+func TestSampledDeterminismAcrossJobs(t *testing.T) {
+	opt := Options{Accesses: 20_000, Seed: 2016, RandomMixes: 2, DuelPeriod: 40_000,
+		SampleInterval: 1000, SampleWarmup: 1}
+	if raceEnabled {
+		opt.Accesses = 8_000
+		opt.RandomMixes = 1
+	}
+	generate := func(jobs int) *Table {
+		ResetMemo()
+		o := opt
+		o.Jobs = jobs
+		return Registry(o)["fig14"]()
+	}
+	serial, parallel := generate(1), generate(4)
+	if !reflect.DeepEqual(serial.Rows, parallel.Rows) {
+		t.Errorf("sampled fig14 rows differ between Jobs=1 and Jobs=4\nserial:   %v\nparallel: %v",
+			serial.Rows, parallel.Rows)
+	}
+}
+
 // TestSingleflightSharesComputation races many goroutines on one fresh
 // key and requires exactly one compute, with every caller observing its
 // result.

@@ -53,9 +53,9 @@ type Profile struct {
 }
 
 // maxStateSnapshots bounds how many cache-hierarchy snapshots a profile
-// retains. At the paper's default geometry one snapshot is ~2.2 MB
-// (13 bytes per line; the 8 MB LLC's 131,072 lines dominate), so a
-// profile tops out around 35 MB of state regardless of how many
+// retains. At the paper's default geometry one snapshot is ~1.5 MB
+// (9 bytes per line; the 8 MB LLC's 131,072 lines dominate), so a
+// profile tops out around 24 MB of state regardless of how many
 // intervals it spans.
 const maxStateSnapshots = 16
 

@@ -160,14 +160,19 @@ func TestRunValidation(t *testing.T) {
 	}
 	// A config validation failure names the offending field in the 400
 	// body (sim.FieldError surfaced through lap.ParseConfig).
-	status, body := post(t, ts.URL+"/v1/run",
-		RunRequest{Mix: "WL1", Config: json.RawMessage(`{"Cores": -1}`)})
-	if status != http.StatusBadRequest {
-		t.Fatalf("invalid config: got %d (%s), want 400", status, body)
-	}
-	var fe errorResponse
-	if err := json.Unmarshal(body, &fe); err != nil || fe.Field != "Cores" {
-		t.Fatalf("400 body does not name the Cores field: %s", body)
+	for _, tc := range []struct{ config, field string }{
+		{`{"Cores": -1}`, "Cores"},
+		{`{"BlockBytes": 32}`, "BlockBytes"},
+	} {
+		status, body := post(t, ts.URL+"/v1/run",
+			RunRequest{Mix: "WL1", Config: json.RawMessage(tc.config)})
+		if status != http.StatusBadRequest {
+			t.Fatalf("invalid config %s: got %d (%s), want 400", tc.config, status, body)
+		}
+		var fe errorResponse
+		if err := json.Unmarshal(body, &fe); err != nil || fe.Field != tc.field {
+			t.Fatalf("400 body does not name the %s field: %s", tc.field, body)
+		}
 	}
 
 	// Malformed JSON and unknown fields are 400s too.

@@ -170,9 +170,9 @@ func TestCountersSubAddScaledRoundTrip(t *testing.T) {
 // TestSnapshotStateFootprint bounds what one cache-hierarchy snapshot
 // costs at the paper's geometry. Sampled simulation keeps up to 16 per
 // profile and one profile per mix live, so the snapshot size sets the
-// sampled runs' peak memory. Each line's state is stored once (8-byte
-// tag, 4-byte Meta, one recency byte and a valid bit: ~13 bytes), so the
-// 165,888 lines of DefaultConfig need about 2.1 MiB.
+// sampled runs' peak memory. Each line is one 8-byte word plus one
+// recency byte, so the 165,888 lines of DefaultConfig need about
+// 1.42 MiB.
 func TestSnapshotStateFootprint(t *testing.T) {
 	cfg := DefaultConfig()
 	eng := NewEngine(cfg, core.NewLAP(), sourcesFor(loopy(), cfg.Cores, 1000), nil)
@@ -181,8 +181,8 @@ func TestSnapshotStateFootprint(t *testing.T) {
 	s := eng.SnapshotState(nil)
 	runtime.ReadMemStats(&after)
 	runtime.KeepAlive(s)
-	const limit = 23 << 20 / 10 // 2.3 MiB
+	const limit = 16 << 20 / 10 // 1.6 MiB
 	if got := after.TotalAlloc - before.TotalAlloc; got > limit {
-		t.Fatalf("SnapshotState(nil) allocated %.2f MiB at DefaultConfig, want ≤ 2.3 MiB", float64(got)/(1<<20))
+		t.Fatalf("SnapshotState(nil) allocated %.2f MiB at DefaultConfig, want ≤ 1.6 MiB", float64(got)/(1<<20))
 	}
 }

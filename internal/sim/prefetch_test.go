@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/trace"
 )
 
 func TestPrefetcherOffByDefault(t *testing.T) {
@@ -48,5 +50,29 @@ func TestPrefetchTrafficSeesPolicyCosts(t *testing.T) {
 	lapOn := Run(pf, core.NewLAP(), sourcesFor(writy(), 2, 30000))
 	if lapOn.Met.WritesFill != 0 {
 		t.Fatal("LAP filled the LLC on prefetches")
+	}
+}
+
+// TestPrefetcherStopsAtLastBlock touches the last block of the address
+// space with PrefetchDegree 2. The next-line prefetcher must stop there:
+// a block past it does not fit a cache line's block field and would
+// alias block 0.
+func TestPrefetcherStopsAtLastBlock(t *testing.T) {
+	cfg := smallCfg()
+	cfg.PrefetchDegree = 2
+	last := uint64(math.MaxUint64) / uint64(cfg.BlockBytes)
+	for _, ctrl := range []core.Controller{core.NewNonInclusive(), core.NewLAP()} {
+		m := build(cfg, ctrl, sourcesFor(writy(), cfg.Cores, 0))
+		c := m.cores[0]
+		m.step(c, trace.Access{Addr: math.MaxUint64, Instrs: 1})
+		if c.l2.Probe(last) < 0 {
+			t.Fatalf("%s: the last block was not filled into the L2", ctrl.Name())
+		}
+		if c.l2.Probe(0) >= 0 || m.ctx.L3.Probe(0) >= 0 {
+			t.Fatalf("%s: prefetching past the last block installed block 0", ctrl.Name())
+		}
+		if m.ctx.Met.Prefetches != 0 {
+			t.Fatalf("%s: %d prefetches issued past the last block", ctrl.Name(), m.ctx.Met.Prefetches)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cache"
 	"repro/internal/coherence"
@@ -540,7 +541,7 @@ func (m *machine) access(c *coreState, block uint64, write bool) uint64 {
 		l := c.l1.Meta(set, w)
 		if write {
 			m.onWriteHit(c, block, l)
-			l.Dirty = true
+			l.SetDirty(true)
 		}
 		return cfg.L1Cycles
 	}
@@ -553,9 +554,9 @@ func (m *machine) access(c *coreState, block uint64, write bool) uint64 {
 		l := c.l2.Meta(set, w)
 		if write {
 			m.onWriteHit(c, block, l)
-			l.Loop = false // a written block is no loop-block (Fig. 10a)
+			l.SetLoop(false) // a written block is no loop-block (Fig. 10a)
 		}
-		m.fillL1(c, block, write, l.Shared)
+		m.fillL1(c, block, write, l.Shared())
 		return cfg.L1Cycles + cfg.L2Cycles
 	}
 	met.L2Misses++
@@ -599,10 +600,15 @@ func (m *machine) access(c *coreState, block uint64, write bool) uint64 {
 
 // prefetch issues next-line prefetches into the L2 after a demand miss.
 // Prefetches run through the inclusion controller like demand fetches
-// (they cost LLC energy and bank time) but never stall the core.
+// (they cost LLC energy and bank time) but never stall the core. They
+// stop at the last block of the address space instead of running past
+// it.
 func (m *machine) prefetch(c *coreState, block uint64) {
 	for d := 1; d <= m.cfg.PrefetchDegree; d++ {
 		pb := block + uint64(d)
+		if pb > math.MaxUint64/uint64(m.cfg.BlockBytes) {
+			break
+		}
 		if c.l2.Probe(pb) >= 0 || c.l1.Probe(pb) >= 0 {
 			continue
 		}
@@ -623,12 +629,12 @@ func (m *machine) prefetch(c *coreState, block uint64) {
 // onWriteHit handles a store that hit a private-cache line: shared copies
 // elsewhere are invalidated, and the L2 duplicate's loop-bit is cleared.
 func (m *machine) onWriteHit(c *coreState, block uint64, l *cache.Meta) {
-	if l.Shared {
+	if l.Shared() {
 		m.busWrite(c, block)
-		l.Shared = false
+		l.SetShared(false)
 	}
 	if w := c.l2.Probe(block); w >= 0 {
-		c.l2.Meta(c.l2.SetOf(block), w).Loop = false
+		c.l2.Meta(c.l2.SetOf(block), w).SetLoop(false)
 	}
 }
 
@@ -645,8 +651,12 @@ func (m *machine) fillL1(c *coreState, block uint64, write, shared bool) {
 	if w := c.l1.Probe(block); w >= 0 {
 		set := c.l1.SetOf(block)
 		l := c.l1.Meta(set, w)
-		l.Dirty = l.Dirty || write
-		l.Shared = l.Shared || shared
+		if write {
+			l.SetDirty(true)
+		}
+		if shared {
+			l.SetShared(true)
+		}
 		c.l1.Touch(set, w)
 		return
 	}
@@ -656,7 +666,7 @@ func (m *machine) fillL1(c *coreState, block uint64, write, shared bool) {
 		m.writebackL1Victim(c, v)
 	}
 	c.l1.InsertAt(set, way, block, write, false)
-	c.l1.Meta(set, way).Shared = shared
+	c.l1.Meta(set, way).SetShared(shared)
 }
 
 // writebackL1Victim merges a dirty L1 victim into the L2.
@@ -664,8 +674,8 @@ func (m *machine) writebackL1Victim(c *coreState, v cache.Line) {
 	if w := c.l2.Probe(v.Tag); w >= 0 {
 		set := c.l2.SetOf(v.Tag)
 		l := c.l2.Meta(set, w)
-		l.Dirty = true
-		l.Loop = false
+		l.SetDirty(true)
+		l.SetLoop(false)
 		c.l2.Touch(set, w)
 		return
 	}
@@ -679,9 +689,13 @@ func (m *machine) installL2(c *coreState, block uint64, dirty, loop, shared bool
 	if w := c.l2.Probe(block); w >= 0 {
 		set := c.l2.SetOf(block)
 		l := c.l2.Meta(set, w)
-		l.Dirty = l.Dirty || dirty
-		l.Loop = loop
-		l.Shared = l.Shared || shared
+		if dirty {
+			l.SetDirty(true)
+		}
+		l.SetLoop(loop)
+		if shared {
+			l.SetShared(true)
+		}
 		c.l2.Touch(set, w)
 		return
 	}
@@ -691,7 +705,7 @@ func (m *machine) installL2(c *coreState, block uint64, dirty, loop, shared bool
 		m.onL2Evict(c, v)
 	}
 	c.l2.InsertAt(set, way, block, dirty, loop)
-	c.l2.Meta(set, way).Shared = shared
+	c.l2.Meta(set, way).SetShared(shared)
 }
 
 // onL2Evict routes an L2 victim to the inclusion controller. This is
@@ -740,24 +754,24 @@ func (p *corePeer) ProbeBlock(block uint64, downgrade bool) (found, dirty bool) 
 	if w := c.l1.Probe(block); w >= 0 {
 		l := c.l1.Meta(c.l1.SetOf(block), w)
 		found = true
-		if l.Dirty {
+		if l.Dirty() {
 			dirty = true
 			if downgrade {
-				l.Dirty = false
+				l.SetDirty(false)
 			}
 		}
-		l.Shared = true
+		l.SetShared(true)
 	}
 	if w := c.l2.Probe(block); w >= 0 {
 		l := c.l2.Meta(c.l2.SetOf(block), w)
 		found = true
-		if l.Dirty {
+		if l.Dirty() {
 			dirty = true
 			if downgrade {
-				l.Dirty = false
+				l.SetDirty(false)
 			}
 		}
-		l.Shared = true
+		l.SetShared(true)
 	}
 	return found, dirty
 }

@@ -28,8 +28,11 @@ func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
 		return fieldErrf("Cores", "must be positive (got %d)", c.Cores)
-	case c.BlockBytes <= 0:
-		return fieldErrf("BlockBytes", "block size must be positive (got %d)", c.BlockBytes)
+	case c.BlockBytes < 64:
+		// A cache line packs its block number in 58 bits (cache.MaxBlock),
+		// which covers every 64-bit address only for blocks of 64 bytes
+		// or more.
+		return fieldErrf("BlockBytes", "block size must be at least 64 bytes (got %d)", c.BlockBytes)
 	case c.L1SizeBytes <= 0 || c.L1Ways <= 0:
 		return fieldErrf("L1SizeBytes", "invalid L1 geometry %d/%d-way", c.L1SizeBytes, c.L1Ways)
 	case c.L2SizeBytes <= 0 || c.L2Ways <= 0:
