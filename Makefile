@@ -34,12 +34,16 @@ bench-json:
 	  $(GO) test -bench BenchmarkAccessAllocs -benchmem -benchtime=200000x -run '^$$' ./internal/sim ) \
 		| $(GO) run ./cmd/benchjson -label $(LABEL) -rev $$(git rev-parse --short HEAD) -o BENCH_sim.json
 
-# The zero-alloc regression gate: the steady-state access path must not
-# allocate. TestAccessAllocsZero enforces it per controller; the awk pass
-# double-checks that every reported BenchmarkAccessAllocs* line says
-# exactly 0 allocs/op (and that at least one such line was produced).
+# The allocation regression gate. The simulator's steady-state access
+# path must not allocate: TestAccessAllocsZero enforces it per
+# controller; the awk pass double-checks that every reported
+# BenchmarkAccessAllocs* line says exactly 0 allocs/op (and that at least
+# one such line was produced). The serving hot path has a byte budget:
+# TestWarmRunAllocBudget holds a memo-recalled /v1/run, traced as
+# lapserved traces it by default, to 64 KiB allocated per request.
 alloc-gate:
 	$(GO) test -run TestAccessAllocsZero ./internal/sim
+	$(GO) test -run TestWarmRunAllocBudget ./internal/server
 	$(GO) test -bench BenchmarkAccessAllocs -benchmem -benchtime=100000x -run '^$$' ./internal/sim \
 		| awk '/^BenchmarkAccessAllocs/ { n++; if ($$0 !~ / 0 allocs\/op/) { bad = 1; print "FAIL:", $$0 } else print } END { exit (n == 0 || bad) }'
 

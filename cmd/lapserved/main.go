@@ -53,9 +53,10 @@
 // header and GET /v1/trace/{id} returns that request's Chrome
 // trace-event timeline (admission, queue wait, memo lookup, retry
 // attempts, execution). -trace-requests bounds the in-memory trace
-// store (negative disables tracing); -trace-dir additionally writes
-// each trace to disk. Requests are logged as JSON lines on stderr with
-// the matching trace_id.
+// store (negative disables tracing), whose traces are rendered when
+// read; -trace-dir additionally writes each trace to disk as its
+// request ends. Requests are logged as JSON lines on stderr with the
+// matching trace_id.
 //
 // -smoke starts the server on a loopback port, exercises /healthz, one
 // /v1/run, and a coalesced duplicate pair, then verifies via /v1/stats

@@ -1,11 +1,11 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 )
 
 // chromeEvent is one trace-event object in the Chrome/Perfetto JSON
@@ -152,12 +152,13 @@ func attrMap(attrs []Attr) map[string]any {
 	return m
 }
 
-// ChromeJSON renders WriteChromeTrace into memory — the per-request
-// export lapserved stores for GET /v1/trace/{id}.
+// ChromeJSON renders WriteChromeTrace into memory — what lapserved
+// serves for a stored request trace at GET /v1/trace/{id} and in
+// /debug/bundle, rendered when read.
 func (t *Tracer) ChromeJSON() []byte {
-	var b strings.Builder
+	var b bytes.Buffer
 	if err := t.WriteChromeTrace(&b); err != nil {
 		return nil
 	}
-	return []byte(b.String())
+	return b.Bytes()
 }

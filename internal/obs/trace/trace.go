@@ -11,12 +11,13 @@
 //     finds no span — the same discipline as internal/fault's disarmed
 //     fast path. A nil *Tracer and a nil *Span are valid receivers whose
 //     methods no-op, so instrumentation points never branch.
-//   - Bounded memory: events land in a fixed-capacity ring; when full,
-//     the oldest event is overwritten and Dropped advances. Eviction
-//     order is emission order — every surviving event's Seq is larger
-//     than every dropped one's — which holds under concurrent writers
-//     because Seq is assigned under the same mutex that advances the
-//     ring cursor.
+//   - Bounded memory that costs what is recorded: events land in a ring
+//     that starts empty and doubles on demand up to its capacity; once
+//     full, the oldest event is overwritten and Dropped advances.
+//     Eviction order is emission order — every surviving event's Seq is
+//     larger than every dropped one's — which holds under concurrent
+//     writers because Seq is assigned under the same mutex that advances
+//     the ring cursor.
 //   - Two time bases: wall-clock spans (HTTP requests, experiment
 //     cells) record microseconds since the tracer's epoch on PidWall;
 //     simulated-time events (internal/sim's interval telemetry) record
@@ -90,10 +91,13 @@ type Tracer struct {
 	seq     atomic.Uint64 // span and event IDs
 	epoch   time.Time
 
-	mu      sync.Mutex
+	mu sync.Mutex
+	// buf holds the resident events. It grows by appending until it
+	// reaches max; only then does the ring wrap, so while it grows the
+	// oldest event is buf[0] and next stays 0.
 	buf     []Event
-	next    int // ring cursor
-	n       int // resident events
+	max     int // ring bound
+	next    int // oldest event, overwritten by the next Emit once full
 	dropped uint64
 	tracks  map[trackKey]string // viewer lane names, emitted at export
 }
@@ -105,18 +109,25 @@ type trackKey struct {
 
 // DefaultCapacity is New's ring bound when capacity <= 0: enough for a
 // long lapsim run (run + warmup + hundreds of epochs × several counter
-// series × several policies) at a few MB of memory.
+// series × several policies). The ring grows on demand, so the bound
+// costs a few MB only once that many events have been recorded.
 const DefaultCapacity = 1 << 16
 
+// minRing is the ring's first allocation, enough for a traced request's
+// handful of spans.
+const minRing = 8
+
 // New returns an enabled tracer whose ring holds at most capacity
-// events (capacity <= 0 selects DefaultCapacity).
+// events (capacity <= 0 selects DefaultCapacity). The ring is allocated
+// as events arrive, doubling up to capacity, so a tracer costs what it
+// records rather than its bound.
 func New(capacity int) *Tracer {
 	if capacity <= 0 {
 		capacity = DefaultCapacity
 	}
 	t := &Tracer{
 		epoch:  time.Now(),
-		buf:    make([]Event, capacity),
+		max:    capacity,
 		tracks: map[trackKey]string{},
 	}
 	t.enabled.Store(true)
@@ -128,10 +139,15 @@ func New(capacity int) *Tracer {
 func (t *Tracer) Enabled() bool { return t != nil && t.enabled.Load() }
 
 // SetEnabled arms or disarms the tracer. Disarmed tracers drop Emit and
-// hand out nil spans; already-recorded events stay readable.
+// hand out nil spans; already-recorded events stay readable. Once
+// SetEnabled(false) returns, the resident events no longer change: a
+// span ending later, even one that passed the Enabled gate before the
+// call, is not recorded.
 func (t *Tracer) SetEnabled(on bool) {
 	if t != nil {
+		t.mu.Lock()
 		t.enabled.Store(on)
+		t.mu.Unlock()
 	}
 }
 
@@ -159,26 +175,37 @@ func (t *Tracer) NameTrack(pid int, track uint64, name string) {
 		return
 	}
 	t.mu.Lock()
-	t.tracks[trackKey{pid, track}] = name
+	if t.enabled.Load() {
+		t.tracks[trackKey{pid, track}] = name
+	}
 	t.mu.Unlock()
 }
 
-// Emit records one event, overwriting the oldest when the ring is full.
-// ev.Seq is assigned here; callers fill the rest.
+// Emit records one event, growing the ring up to its bound and then
+// overwriting the oldest event. ev.Seq is assigned here; callers fill
+// the rest.
 func (t *Tracer) Emit(ev Event) {
 	if !t.Enabled() {
 		return
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.enabled.Load() { // disarmed while this call waited for mu
+		return
+	}
 	ev.Seq = t.seq.Add(1)
-	if t.n == len(t.buf) {
-		t.dropped++
-	} else {
-		t.n++
+	if len(t.buf) < t.max {
+		if len(t.buf) == cap(t.buf) {
+			grown := make([]Event, len(t.buf), min(max(2*cap(t.buf), minRing), t.max))
+			copy(grown, t.buf)
+			t.buf = grown
+		}
+		t.buf = append(t.buf, ev)
+		return
 	}
 	t.buf[t.next] = ev
 	t.next = (t.next + 1) % len(t.buf)
-	t.mu.Unlock()
+	t.dropped++
 }
 
 // Events returns the resident events, oldest first (ascending Seq).
@@ -188,15 +215,9 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]Event, 0, t.n)
-	start := t.next - t.n
-	if start < 0 {
-		start += len(t.buf)
-	}
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.buf[(start+i)%len(t.buf)])
-	}
-	return out
+	out := make([]Event, 0, len(t.buf))
+	out = append(out, t.buf[t.next:]...)
+	return append(out, t.buf[:t.next]...)
 }
 
 // Len reports the resident event count; Dropped the events evicted by
@@ -207,7 +228,7 @@ func (t *Tracer) Len() int {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n
+	return len(t.buf)
 }
 
 // Dropped reports how many events the ring bound evicted.

@@ -3,6 +3,8 @@ package trace
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -80,26 +82,69 @@ func TestDisabledAndNilSafety(t *testing.T) {
 	}
 }
 
-// TestRingEvictionOrder pins the bounded ring's contract: with more
-// emissions than capacity, exactly the newest `capacity` events survive,
-// oldest first.
+// TestRingEvictionOrder pins the bounded ring's contract before, at and
+// after the ring stops growing: after every emission exactly the newest
+// min(emitted, capacity) events are resident, oldest first with
+// contiguous Seq values, and Dropped counts the rest.
 func TestRingEvictionOrder(t *testing.T) {
-	const capacity, emits = 8, 29
-	tr := New(capacity)
-	for i := 0; i < emits; i++ {
-		tr.Emit(Event{Phase: PhaseInstant, Name: "e", TS: int64(i)})
+	for _, capacity := range []int{1, 5, 8, 13} {
+		for _, emits := range []int{capacity - 1, capacity, capacity + 1, 3*capacity + 2} {
+			t.Run(fmt.Sprintf("cap%d/emits%d", capacity, emits), func(t *testing.T) {
+				tr := New(capacity)
+				for i := 0; i < emits; i++ {
+					tr.Emit(Event{Phase: PhaseInstant, Name: "e", TS: int64(i)})
+					checkRing(t, tr, capacity, i+1)
+				}
+				checkRing(t, tr, capacity, emits)
+			})
+		}
 	}
-	if got := tr.Dropped(); got != emits-capacity {
-		t.Fatalf("dropped = %d, want %d", got, emits-capacity)
+}
+
+// checkRing asserts the ring holds the newest min(emitted, capacity) of
+// emitted events numbered by TS 0..emitted-1.
+func checkRing(t *testing.T, tr *Tracer, capacity, emitted int) {
+	t.Helper()
+	resident := min(emitted, capacity)
+	if got := tr.Len(); got != resident {
+		t.Fatalf("after %d emits: Len = %d, want %d", emitted, got, resident)
+	}
+	if got := tr.Dropped(); got != uint64(emitted-resident) {
+		t.Fatalf("after %d emits: Dropped = %d, want %d", emitted, got, emitted-resident)
 	}
 	evs := tr.Events()
-	if len(evs) != capacity {
-		t.Fatalf("resident = %d, want %d", len(evs), capacity)
+	if len(evs) != resident {
+		t.Fatalf("after %d emits: %d events, want %d", emitted, len(evs), resident)
 	}
 	for i, ev := range evs {
-		if want := int64(emits - capacity + i); ev.TS != want {
-			t.Fatalf("event %d has TS %d, want %d (eviction order broken)", i, ev.TS, want)
+		if want := int64(emitted - resident + i); ev.TS != want {
+			t.Fatalf("after %d emits: event %d has TS %d, want %d (eviction order broken)", emitted, i, ev.TS, want)
 		}
+		if ev.Seq != evs[0].Seq+uint64(i) {
+			t.Fatalf("after %d emits: event %d has Seq %d, want %d (not contiguous)", emitted, i, ev.Seq, evs[0].Seq+uint64(i))
+		}
+	}
+}
+
+// TestRingAllocatesWhatItRecords pins on-demand growth: a tracer bounded
+// at 1<<16 events that records three costs a few hundred bytes of ring,
+// not the ~6.8 MB its bound would preallocate.
+func TestRingAllocatesWhatItRecords(t *testing.T) {
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		tr := New(1 << 16)
+		for j := 0; j < 3; j++ {
+			tr.Emit(Event{Phase: PhaseInstant, Name: "e"})
+		}
+		if tr.Len() != 3 {
+			t.Fatalf("Len = %d, want 3", tr.Len())
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 16<<10 {
+		t.Fatalf("a 3-event tracer allocated %d B, want < 16 KiB", per)
 	}
 }
 
@@ -142,6 +187,41 @@ func TestRingEvictionOrderConcurrent(t *testing.T) {
 	if evs[len(evs)-1].Seq-evs[0].Seq != capacity-1 {
 		t.Fatalf("survivors are not contiguous: first seq %d, last %d, capacity %d",
 			evs[0].Seq, evs[len(evs)-1].Seq, capacity)
+	}
+}
+
+// TestDisarmFreezesRing pins the barrier lapserved relies on when it
+// stores a finished request's tracer: once SetEnabled(false) returns, no
+// concurrent writer can still add an event, even one that passed the
+// Enabled gate before the call.
+func TestDisarmFreezesRing(t *testing.T) {
+	const capacity, writers, perWriter = 64, 4, 2000
+	tr := New(capacity)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				tr.Emit(Event{Phase: PhaseInstant, Name: "e"})
+			}
+		}()
+	}
+	for tr.Len() < capacity/2 {
+		runtime.Gosched()
+	}
+	tr.SetEnabled(false)
+	frozen, dropped := tr.Events(), tr.Dropped()
+	wg.Wait()
+	after := tr.Events()
+	if len(after) != len(frozen) || tr.Dropped() != dropped {
+		t.Fatalf("ring changed after disarm: %d events, %d dropped → %d events, %d dropped",
+			len(frozen), dropped, len(after), tr.Dropped())
+	}
+	for i := range after {
+		if after[i].Seq != frozen[i].Seq {
+			t.Fatalf("event %d changed after disarm: seq %d → %d", i, frozen[i].Seq, after[i].Seq)
+		}
 	}
 }
 

@@ -542,6 +542,9 @@ func (s *Server) resolveRun(req RunRequest) (*runSpec, error) {
 func resolveMix(arg string, cores int) (lap.Mix, error) {
 	for _, m := range lap.TableIII() {
 		if strings.EqualFold(m.Name, arg) {
+			if len(m.Members) != cores {
+				return lap.Mix{}, fmt.Errorf("mix %s has %d members for %d cores", m.Name, len(m.Members), cores)
+			}
 			return m, nil
 		}
 	}

@@ -149,7 +149,7 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		}
 		if s.traces != nil {
 			for _, t := range s.traces.recent(bundleTraceMax) {
-				if err := add("traces/"+t.id+".json", t.data); err != nil {
+				if err := add("traces/"+t.id+".json", t.tr.ChromeJSON()); err != nil {
 					return err
 				}
 			}

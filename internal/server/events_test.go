@@ -3,6 +3,7 @@ package server
 import (
 	"archive/tar"
 	"bufio"
+	"bytes"
 	"compress/gzip"
 	"context"
 	"encoding/json"
@@ -303,8 +304,11 @@ func TestReadyzBreakerOpen(t *testing.T) {
 // non-empty.
 func TestDiagnosticsBundle(t *testing.T) {
 	_, ts := testServer(t, Config{})
-	if status, body := post(t, ts.URL+"/v1/run", RunRequest{Mix: "WL1", Accesses: smallAccesses}); status != http.StatusOK {
-		t.Fatalf("run: %d %s", status, body)
+	// Computed, then recalled: two request traces of different shapes.
+	for i := 0; i < 2; i++ {
+		if status, body := post(t, ts.URL+"/v1/run", RunRequest{Mix: "WL1", Accesses: smallAccesses}); status != http.StatusOK {
+			t.Fatalf("run: %d %s", status, body)
+		}
 	}
 
 	resp, err := http.Get(ts.URL + "/debug/bundle")
@@ -376,20 +380,27 @@ func TestDiagnosticsBundle(t *testing.T) {
 			t.Errorf("%s is missing or empty", prof)
 		}
 	}
-	// The run above was traced (tracing is on by default), so at least
-	// one trace document rides along and parses.
+	// The runs above were traced (tracing is on by default), so their
+	// trace documents ride along, parse, and equal what GET
+	// /v1/trace/{id} renders for the same request.
 	traced := 0
 	for name, data := range members {
-		if strings.HasPrefix(name, "traces/") {
-			traced++
-			var v map[string]any
-			if err := json.Unmarshal(data, &v); err != nil {
-				t.Errorf("%s does not parse: %v", name, err)
-			}
+		id, ok := strings.CutPrefix(name, "traces/")
+		if !ok {
+			continue
+		}
+		traced++
+		var v map[string]any
+		if err := json.Unmarshal(data, &v); err != nil {
+			t.Errorf("%s does not parse: %v", name, err)
+		}
+		status, body := get(t, ts.URL+"/v1/trace/"+strings.TrimSuffix(id, ".json"))
+		if status != http.StatusOK || !bytes.Equal(body, data) {
+			t.Errorf("%s differs from GET /v1/trace (status %d):\n%s\n%s", name, status, data, body)
 		}
 	}
-	if traced == 0 {
-		t.Error("bundle carries no request traces")
+	if traced != 2 {
+		t.Errorf("bundle carries %d request traces, want 2", traced)
 	}
 }
 

@@ -5,9 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+
+	otrace "repro/internal/obs/trace"
 )
 
 func TestHealthzBody(t *testing.T) {
@@ -155,8 +158,10 @@ func TestRequestTracingDisabled(t *testing.T) {
 
 func TestTraceLogEvictsOldest(t *testing.T) {
 	l := newTraceLog(3)
+	trs := make([]*otrace.Tracer, 6)
 	for i := 1; i <= 5; i++ {
-		l.put(fmt.Sprintf("req-%06d", i), []byte{byte(i)})
+		trs[i] = otrace.New(8)
+		l.put(fmt.Sprintf("req-%06d", i), trs[i])
 	}
 	if l.count() != 3 {
 		t.Fatalf("resident = %d, want 3", l.count())
@@ -167,8 +172,58 @@ func TestTraceLogEvictsOldest(t *testing.T) {
 		}
 	}
 	for i := 3; i <= 5; i++ {
-		if data, ok := l.get(fmt.Sprintf("req-%06d", i)); !ok || data[0] != byte(i) {
+		if tr, ok := l.get(fmt.Sprintf("req-%06d", i)); !ok || tr != trs[i] {
 			t.Errorf("entry %d missing or corrupt", i)
 		}
+	}
+}
+
+// TestTraceOmitsSpansEndedAfterResponse pins trace-on-read: a request's
+// trace is rendered when read, yet a child span that ends after the
+// handler returned (work the request left running) is absent from it,
+// because the tracer is disarmed as the root span ends.
+func TestTraceOmitsSpansEndedAfterResponse(t *testing.T) {
+	s := New(Config{})
+	var late *otrace.Span
+	s.mux.HandleFunc("POST /test/late", func(w http.ResponseWriter, r *http.Request) {
+		_, inTime := otrace.Start(r.Context(), "in_time")
+		inTime.End()
+		_, late = otrace.Start(r.Context(), "late")
+		w.WriteHeader(http.StatusNoContent)
+	})
+	h := s.Handler()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/test/late", nil))
+	id := rec.Header().Get("X-Trace-Id")
+	if late == nil || id == "" {
+		t.Fatalf("request was not traced (span %v, trace id %q)", late, id)
+	}
+	late.End()
+
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/trace/"+id, nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("trace %s: %d %s", id, rec.Code, rec.Body)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Name string `json:"name"`
+			Ph   string `json:"ph"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("trace %s is not valid trace-event JSON: %v", id, err)
+	}
+	spans := map[string]int{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph == "X" {
+			spans[ev.Name]++
+		}
+	}
+	if spans["request"] != 1 || spans["in_time"] != 1 {
+		t.Errorf("trace lacks the spans that ended in time: %v", spans)
+	}
+	if spans["late"] != 0 {
+		t.Errorf("span ended after the response was recorded: %v", spans)
 	}
 }

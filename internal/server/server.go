@@ -108,6 +108,7 @@ type Config struct {
 	// TraceRequests bounds the per-request trace log served by GET
 	// /v1/trace/{id}, evicting oldest-first (0 = 64; negative disables
 	// request tracing entirely — the untraced path costs one nil check).
+	// The log keeps each request's spans and renders them when read.
 	TraceRequests int
 	// TraceDir additionally writes each request's Chrome trace-event JSON
 	// to TraceDir/<id>.json; empty writes no files.
@@ -955,11 +956,18 @@ func (s *Server) refuseBreaker(w http.ResponseWriter) bool {
 	return true
 }
 
-// decodeJSON reads a bounded JSON body, answering 400 itself on failure.
+// decodeJSON reads a bounded body holding exactly one JSON value
+// (trailing whitespace allowed), answering 400 itself on failure.
 func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) error {
 	dec := json.NewDecoder(io.LimitReader(r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
+	err := dec.Decode(dst)
+	if err == nil {
+		if _, tokErr := dec.Token(); tokErr != io.EOF {
+			err = errors.New("unexpected data after the JSON value")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: "decoding request: " + err.Error()})
 		return err
 	}

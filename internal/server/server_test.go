@@ -145,6 +145,7 @@ func TestRunValidation(t *testing.T) {
 		{"unknown trace", RunRequest{Trace: "never-uploaded"}},
 		{"accesses over cap", RunRequest{Mix: "WL1", Accesses: 1 << 60}},
 		{"bad config", RunRequest{Mix: "WL1", Config: json.RawMessage(`{"Cores": -1}`)}},
+		{"mix for other core count", RunRequest{Mix: "WL1", Accesses: smallAccesses, Config: json.RawMessage(`{"Cores": 2}`)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -175,22 +176,40 @@ func TestRunValidation(t *testing.T) {
 		}
 	}
 
-	// Malformed JSON and unknown fields are 400s too.
-	resp, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(`{"mix": `))
+	// Bodies that are not exactly one JSON object of known fields are
+	// 400s too: malformed JSON, unknown fields, and anything but
+	// whitespace after the object, whose content must not be dropped
+	// silently.
+	for _, tc := range []struct{ name, path, body string }{
+		{"malformed JSON", "/v1/run", `{"mix": `},
+		{"unknown field", "/v1/run", `{"mixx": "WL1"}`},
+		{"trailing object", "/v1/run", `{"mix":"WL1","accesses":20000}{"policy":"nope"}`},
+		{"trailing garbage", "/v1/run", `{"mix":"WL1","accesses":20000} garbage`},
+		{"sweep trailing object", "/v1/sweep", `{"mixes":["WL1"],"accesses":20000}{"jobs":1}`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			var e errorResponse
+			if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(body, &e) != nil ||
+				!strings.HasPrefix(e.Error, "decoding request: ") {
+				t.Fatalf("got %d %s, want 400 decoding request: …", resp.StatusCode, body)
+			}
+		})
+	}
+	// Trailing whitespace after the object is still one value.
+	resp, err := http.Post(ts.URL+"/v1/run", "application/json",
+		strings.NewReader(fmt.Sprintf("{\"mix\":\"WL1\",\"accesses\":%d}\n\t \r\n", smallAccesses)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed JSON: got %d, want 400", resp.StatusCode)
-	}
-	resp, err = http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader(`{"mixx": "WL1"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown field: got %d, want 400", resp.StatusCode)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("trailing whitespace: got %d, want 200", resp.StatusCode)
 	}
 }
 

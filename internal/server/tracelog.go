@@ -16,12 +16,14 @@ import (
 
 // perRequestTraceEvents bounds one request's span ring. A request emits
 // a handful of spans per attempt (queue wait, memo, execute), so this is
-// generous headroom even for a large sweep.
+// generous headroom even for a large sweep; the ring grows on demand, so
+// a request pays only for the spans it records.
 const perRequestTraceEvents = 4096
 
 // traceLog is the bounded in-memory store behind GET /v1/trace/{id}:
-// each traced request's exported Chrome trace-event JSON, keyed by
-// request ID, evicting oldest-first past the bound.
+// each traced request's finished (disarmed) tracer, keyed by request ID,
+// evicting oldest-first past the bound. Traces are rendered to Chrome
+// trace-event JSON only when read.
 type traceLog struct {
 	mu    sync.Mutex
 	max   int
@@ -30,18 +32,18 @@ type traceLog struct {
 }
 
 type traceEntry struct {
-	id   string
-	data []byte
+	id string
+	tr *otrace.Tracer
 }
 
 func newTraceLog(max int) *traceLog {
 	return &traceLog{max: max, byID: map[string]*list.Element{}, order: list.New()}
 }
 
-func (l *traceLog) put(id string, data []byte) {
+func (l *traceLog) put(id string, tr *otrace.Tracer) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.byID[id] = l.order.PushFront(&traceEntry{id: id, data: data})
+	l.byID[id] = l.order.PushFront(&traceEntry{id: id, tr: tr})
 	for l.order.Len() > l.max {
 		back := l.order.Back()
 		delete(l.byID, back.Value.(*traceEntry).id)
@@ -49,14 +51,14 @@ func (l *traceLog) put(id string, data []byte) {
 	}
 }
 
-func (l *traceLog) get(id string) ([]byte, bool) {
+func (l *traceLog) get(id string) (*otrace.Tracer, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	el, ok := l.byID[id]
 	if !ok {
 		return nil, false
 	}
-	return el.Value.(*traceEntry).data, true
+	return el.Value.(*traceEntry).tr, true
 }
 
 func (l *traceLog) count() int {
@@ -72,8 +74,7 @@ func (l *traceLog) recent(max int) []traceEntry {
 	defer l.mu.Unlock()
 	out := make([]traceEntry, 0, max)
 	for el := l.order.Front(); el != nil && len(out) < max; el = el.Next() {
-		e := el.Value.(*traceEntry)
-		out = append(out, traceEntry{id: e.id, data: e.data})
+		out = append(out, *el.Value.(*traceEntry))
 	}
 	return out
 }
@@ -99,9 +100,11 @@ func traceIDFrom(ctx context.Context) string {
 // bytes written, duration, trace_id. Simulation requests additionally
 // get a private small tracer whose root "request" span flows down
 // through the handler via the request context — queue waits, memo
-// provenance, retry attempts, and executions all record under it — and
-// whose export lands in the trace log for GET /v1/trace/{id} (and
-// TraceDir, when set); their log line carries the root span's ID too.
+// provenance, retry attempts, and executions all record under it. The
+// tracer is disarmed as the root span ends, so spans that end after the
+// response are not recorded, and lands in the trace log, which renders
+// it for GET /v1/trace/{id}; with TraceDir set it is also written there
+// at once. Their log line carries the root span's ID too.
 // Run and sweep requests feed the SLO tracker: server-side failure
 // (5xx) burns the availability budget, a slow answer the latency one.
 func (s *Server) instrument(h http.Handler) http.Handler {
@@ -127,11 +130,11 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 		if root != nil {
 			root.SetAttr(otrace.Int("status", int64(rec.status)))
 			root.End()
-			data := tr.ChromeJSON()
-			s.traces.put(id, data)
+			tr.SetEnabled(false)
+			s.traces.put(id, tr)
 			if s.cfg.TraceDir != "" {
 				// Best-effort: a full disk must not fail the request.
-				_ = os.WriteFile(filepath.Join(s.cfg.TraceDir, id+".json"), data, 0o644)
+				_ = os.WriteFile(filepath.Join(s.cfg.TraceDir, id+".json"), tr.ChromeJSON(), 0o644)
 			}
 		}
 		route := r.Pattern
@@ -189,18 +192,19 @@ func (r *statusRecorder) Flush() {
 	}
 }
 
-// handleTrace serves one traced request's Chrome trace-event JSON.
+// handleTrace serves one traced request's Chrome trace-event JSON,
+// rendered from its stored tracer.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	if s.traces == nil {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "request tracing is disabled"})
 		return
 	}
 	id := r.PathValue("id")
-	data, ok := s.traces.get(id)
+	tr, ok := s.traces.get(id)
 	if !ok {
 		writeJSON(w, http.StatusNotFound, errorResponse{Error: "no trace for id " + id + " (evicted or never recorded)"})
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	w.Write(tr.ChromeJSON())
 }

@@ -254,7 +254,8 @@ func RunTracesObserved(cfg Config, p Policy, srcs []Source, tel *Telemetry) (Res
 }
 
 // NewTracer returns an enabled span tracer whose ring holds at most
-// capacity events (<= 0 selects the default bound).
+// capacity events (<= 0 selects the default bound). The ring grows as
+// events are recorded, so a large bound costs memory only once it fills.
 func NewTracer(capacity int) *Tracer { return otrace.New(capacity) }
 
 // TraceTelemetry builds a Telemetry that renders a run as a
