@@ -90,6 +90,10 @@ func TestValidateConfig(t *testing.T) {
 		{"ClockHz", func(c *Config) { c.ClockHz = 0 }},
 		{"MLP", func(c *Config) { c.MLP = 0 }},
 		{"PrefetchDegree", func(c *Config) { c.PrefetchDegree = -1 }},
+		{"PrefetchDegree", func(c *Config) { c.PrefetchDegree = 17 }},
+		{"L1Ways", func(c *Config) { c.L1Ways, c.L1SizeBytes = 128, 64<<10 }},
+		{"L2Ways", func(c *Config) { c.L2Ways = 128 }},
+		{"L3Ways", func(c *Config) { c.L3Ways = 128 }},
 		{"L3SizeBytes", func(c *Config) { c.L3SizeBytes = 3 << 20 }}, // 3MB/16w -> non-pow2 sets
 	}
 	for _, tc := range cases {

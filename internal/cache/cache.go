@@ -27,6 +27,11 @@ import "fmt"
 // through InsertAt/Evict/Invalidate/Reset.
 type Meta uint64
 
+// MaxWays is the highest associativity a cache supports: a set's
+// recency ordering stores way indices in bytes, and victim scans walk
+// one set at a time.
+const MaxWays = 64
+
 // MaxBlock is the largest block number a line can hold. With blocks of at
 // least 64 bytes it covers every 64-bit address.
 const MaxBlock = 1<<blockBits - 1
@@ -146,8 +151,8 @@ func New(cfg Config) *Cache {
 	if cfg.BlockBytes <= 0 || cfg.Ways <= 0 || cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("cache %q: non-positive geometry: %+v", cfg.Name, cfg))
 	}
-	if cfg.Ways > 64 {
-		panic(fmt.Sprintf("cache %q: %d ways exceeds the 64-way limit", cfg.Name, cfg.Ways))
+	if cfg.Ways > MaxWays {
+		panic(fmt.Sprintf("cache %q: %d ways exceeds the %d-way limit", cfg.Name, cfg.Ways, MaxWays))
 	}
 	blocks := cfg.SizeBytes / cfg.BlockBytes
 	if blocks%cfg.Ways != 0 {

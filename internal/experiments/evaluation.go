@@ -85,7 +85,7 @@ func Fig12(opt Options) *Table {
 		},
 	}
 	mixes := workload.TableIII()
-	warm(opt, append(
+	warmRuns(opt, append(
 		mixRunBatch(stt, opt, mixes, noniPol(), exPol()),
 		mixRunBatch(sram, opt, mixes, noniPol(), exPol())...))
 	for _, mix := range mixes {
@@ -167,15 +167,14 @@ func Fig14(opt Options) *Table {
 		},
 	}
 	mixes := workload.TableIII()
-	stats := randomMixStats(opt) // warms its own baselines in parallel
-	statMixes := make([]workload.Mix, len(stats))
-	for i, s := range stats {
-		statMixes[i] = s.Mix
-	}
+	// One batch warms every run of the figure, the random mixes'
+	// baselines included, so each mix's private levels are recorded
+	// once.
 	withBase := append([]namedPolicy{noniPol()}, pols...)
-	warm(opt, append(
+	warmRuns(opt, append(
 		mixRunBatch(cfg, opt, mixes, withBase...),
-		mixRunBatch(cfg, opt, statMixes, pols...)...))
+		mixRunBatch(cfg, opt, workload.RandomMixes(opt.RandomMixes, cfg.Cores, opt.Seed), withBase...)...))
+	stats := randomMixStats(opt)
 	addMix := func(mix workload.Mix) {
 		base := run(cfg, "noni", Noni(), mix, opt)
 		epi := []string{mix.Name, "EPI"}

@@ -35,7 +35,8 @@ type Options struct {
 	DuelPeriod uint64
 	// Jobs bounds the scheduler's worker pool for the batched simulation
 	// runs (see sched.go): 0 means one worker per schedulable CPU
-	// (runtime.GOMAXPROCS), 1 forces the fully serial path. Tables are
+	// (runtime.GOMAXPROCS), 1 forces the fully serial path, which also
+	// walks every run's private levels directly (streams.go). Tables are
 	// byte-identical for any value; Jobs only changes wall-clock.
 	Jobs int
 	// Banks sets sim.Config.Banks on every run: intra-run parallelism

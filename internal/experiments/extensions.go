@@ -72,12 +72,12 @@ func ExtFlipNWrite(opt Options) *Table {
 		return cfg.WithSTTL3(tech)
 	}
 	mixes := workload.TableIII()
-	var batch []func()
+	var batch []mixRun
 	for _, m := range scales {
 		batch = append(batch, mixRunBatch(cfgFor(m.scale), opt, mixes,
 			noniPol(), exPol(), namedPolicy{"LAP", LAP(opt)})...)
 	}
-	warm(opt, batch)
+	warmRuns(opt, batch)
 	for _, m := range scales {
 		cfg := cfgFor(m.scale)
 		var exSave, lapSave float64

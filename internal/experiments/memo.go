@@ -60,7 +60,7 @@ func runKey(cfg sim.Config, policy string, mix workload.Mix, threaded bool, opt 
 	return memoKey{
 		Cfg:        cfg,
 		Policy:     policy,
-		Mix:        mix.Name + "[" + strings.Join(mix.Members, ",") + "]",
+		Mix:        mixID(mix),
 		Threaded:   threaded,
 		Accesses:   opt.Accesses,
 		Seed:       opt.Seed,
@@ -68,30 +68,47 @@ func runKey(cfg sim.Config, policy string, mix workload.Mix, threaded bool, opt 
 	}
 }
 
+// mixID names a mix in memo keys by its name and members.
+func mixID(mix workload.Mix) string {
+	return mix.Name + "[" + strings.Join(mix.Members, ",") + "]"
+}
+
 // memo is the process-wide singleflight run cache. Artifact sweeps are
 // finite (one lapexp invocation touches a bounded set of runs), so the
 // cache is unbounded here; lapserved builds its own bounded instance.
 var memo = memocache.New[memoKey, sim.Result](0)
 
-// runE executes (or recalls) one simulation, with the run's failure
-// domain contained to its own memo cell: a panicking simulation becomes
-// a typed *pool.RunError, a configuration error propagates as-is, and
-// either way nothing is cached (a retry recomputes). policyName must
-// uniquely identify the controller the factory builds.
-func runE(cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.Mix, opt Options) (sim.Result, error) {
+// cellFor applies opt's run knobs to cfg, builds the run's controller
+// and returns the run's memo key. The cell is keyed by the controller's
+// Name(), not by the caller's display label, so two labels for one
+// controller ("ex" and "Exclusive") share one cell. A factory must
+// therefore name its controller uniquely among those run under the same
+// configuration and options.
+func cellFor(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options) (sim.Config, core.Controller, memoKey) {
 	if opt.Banks > 0 {
 		cfg.Banks = opt.Banks
 	}
 	if opt.Checkpoints != nil && opt.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = opt.CheckpointEvery
 	}
-	if sampleEligible(cfg, policyName, opt) {
+	c := ctrl()
+	if sampleEligible(cfg, c.Name(), opt) {
 		cfg.SampleInterval = opt.SampleInterval
 		cfg.SampleClusters = opt.SampleClusters
 		cfg.SampleWarmup = opt.SampleWarmup
 	}
-	key := runKey(cfg, policyName, mix, false, opt)
-	cell := key.Mix + "|" + policyName
+	return cfg, c, runKey(cfg, c.Name(), mix, false, opt)
+}
+
+// runE executes (or recalls) one simulation, with the run's failure
+// domain contained to its own memo cell: a panicking simulation becomes
+// a typed *pool.RunError, a configuration error propagates as-is, and
+// either way nothing is cached (a retry recomputes). An exact run whose
+// mix's private levels a warm batch holds recorded replays them
+// (streams.go); every other run walks them directly.
+func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options) (sim.Result, error) {
+	cfg, c, key := cellFor(cfg, ctrl, mix, opt)
+	cell := key.Mix + "|" + key.Policy
 	ctx, sp := cellSpan(opt, cell)
 	res, err := memo.DoErr(ctx, key, cellObserved(opt, cell, func() (res sim.Result, err error) {
 		defer func() {
@@ -107,7 +124,7 @@ func runE(cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.M
 			if err != nil {
 				return sim.Result{}, err
 			}
-			sr, err := sample.Run(cfg, ctrl(), prof)
+			sr, err := sample.Run(cfg, c, prof)
 			return sr.Sim, err
 		}
 		if opt.Checkpoints != nil && cfg.CheckpointEvery > 0 {
@@ -118,12 +135,20 @@ func runE(cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.M
 			// factory bakes in beyond the name; DuelPeriod is the one
 			// knob registry closures vary.
 			wl := checkpoint.MixWorkload(mix.Name, mix.Members, cfg.Cores, opt.Accesses, opt.Seed)
-			pol := fmt.Sprintf("%s|duel=%d", policyName, opt.DuelPeriod)
+			pol := fmt.Sprintf("%s|duel=%d", key.Policy, opt.DuelPeriod)
 			return checkpoint.ResumableRun(opt.Checkpoints, cfg, wl, pol, ctrl, func() ([]trace.Source, error) {
 				return sim.MixSources(mix, opt.Accesses, opt.Seed)
 			})
 		}
-		return sim.RunMix(cfg, ctrl, mix, opt.Accesses, opt.Seed)
+		if sk, ok := replayKey(cfg, c, mix, opt); ok && holdIfHeld(sk) {
+			defer release(sk)
+			st, err := streamsFor(ctx, sk, cfg, mix, opt)
+			if err != nil {
+				return sim.Result{}, err
+			}
+			return sim.Replay(cfg, c, st)
+		}
+		return sim.RunMix(cfg, func() core.Controller { return c }, mix, opt.Accesses, opt.Seed)
 	}))
 	sp.End()
 	return res, err
@@ -156,9 +181,9 @@ func cellObserved(opt Options, cell string, compute func() (sim.Result, error)) 
 // and the configuration has none of the features sampling cannot
 // represent (cross-interval coherent state, the redundancy profiler, or
 // explicit warmup/length bounds). Ineligible runs silently stay exact
-// so artifact code never has to special-case. policyName may be an
-// experiment-local display name ("noni", "LAP+Winv"); names the
-// registry does not know get no policy-level restriction.
+// so artifact code never has to special-case. policyName is the
+// controller's name; names the registry does not know (the Fig. 25
+// stages, "LAP+Winv") get no policy-level restriction.
 func sampleEligible(cfg sim.Config, policyName string, opt Options) bool {
 	if info, ok := core.LookupPolicy(policyName); ok && !info.SampledEligible {
 		return false
@@ -190,7 +215,7 @@ func profileFor(cfg sim.Config, mix workload.Mix, opt Options) (*sample.Profile,
 	kcfg.SampleWarmup = 0
 	key := profileKey{
 		Cfg:      kcfg,
-		Mix:      mix.Name + "[" + strings.Join(mix.Members, ",") + "]",
+		Mix:      mixID(mix),
 		Accesses: opt.Accesses,
 		Seed:     opt.Seed,
 	}
@@ -242,7 +267,7 @@ func cellSpan(opt Options, cell string) (context.Context, *otrace.Span) {
 // where a failing run is a bug: it panics with the cell label so the
 // per-artifact containment in cmd/lapexp can report which run died.
 func run(cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.Mix, opt Options) sim.Result {
-	res, err := runE(cfg, policyName, ctrl, mix, opt)
+	res, err := runE(cfg, ctrl, mix, opt)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: run %s[%s]|%s: %v",
 			mix.Name, strings.Join(mix.Members, ","), policyName, err))
@@ -251,13 +276,14 @@ func run(cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.Mi
 }
 
 // runThreadedE executes (or recalls) one coherent multi-threaded run,
-// with the same failure containment as runE.
-func runThreadedE(cfg sim.Config, policyName string, ctrl sim.Controller, b workload.Benchmark, opt Options) (sim.Result, error) {
+// with the same failure containment and cell identity as runE.
+func runThreadedE(cfg sim.Config, ctrl sim.Controller, b workload.Benchmark, opt Options) (sim.Result, error) {
 	if opt.Banks > 0 {
 		cfg.Banks = opt.Banks
 	}
-	key := runKey(cfg, policyName, workload.Mix{Name: b.Name}, true, opt)
-	cell := key.Mix + "|" + policyName
+	c := ctrl()
+	key := runKey(cfg, c.Name(), workload.Mix{Name: b.Name}, true, opt)
+	cell := key.Mix + "|" + key.Policy
 	ctx, sp := cellSpan(opt, cell)
 	res, err := memo.DoErr(ctx, key, cellObserved(opt, cell, func() (res sim.Result, err error) {
 		defer func() {
@@ -268,7 +294,7 @@ func runThreadedE(cfg sim.Config, policyName string, ctrl sim.Controller, b work
 		if err := fault.Inject(fault.PointExpRun, cell); err != nil {
 			return sim.Result{}, err
 		}
-		return sim.RunThreaded(cfg, ctrl, b, opt.Accesses, opt.Seed), nil
+		return sim.RunThreaded(cfg, func() core.Controller { return c }, b, opt.Accesses, opt.Seed), nil
 	}))
 	sp.End()
 	return res, err
@@ -276,7 +302,7 @@ func runThreadedE(cfg sim.Config, policyName string, ctrl sim.Controller, b work
 
 // runThreaded is run's panicking counterpart for threaded runs.
 func runThreaded(cfg sim.Config, policyName string, ctrl sim.Controller, b workload.Benchmark, opt Options) sim.Result {
-	res, err := runThreadedE(cfg, policyName, ctrl, b, opt)
+	res, err := runThreadedE(cfg, ctrl, b, opt)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: threaded run %s|%s: %v", b.Name, policyName, err))
 	}
@@ -290,16 +316,19 @@ func runThreaded(cfg sim.Config, policyName string, ctrl sim.Controller, b workl
 func RegisterMetrics(r *obs.Registry, ns string) {
 	memo.Register(r, ns+"_memo")
 	profiles.Register(r, ns+"_profile_memo")
+	registerStreams(r, ns+"_stream_memo")
 	pool.Register(r, ns+"_pool")
 	sample.RegisterMetrics(r, ns)
 }
 
-// ResetMemo clears the run cache (tests and benchmarks use it to bound
-// memory and force recomputation). See memo.Cache.Reset for the contract
-// under concurrency; the Stats counters survive a reset.
+// ResetMemo clears the run cache and drops every recorded stream
+// (tests and benchmarks use it to bound memory and force
+// recomputation). See memo.Cache.Reset for the contract under
+// concurrency; the Stats counters survive a reset.
 func ResetMemo() {
 	memo.Reset()
 	profiles.Reset()
+	resetStreams()
 }
 
 // MemoStats counts run-cache activity since process start: Computed is

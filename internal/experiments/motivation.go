@@ -38,7 +38,7 @@ func Fig2Data(opt Options) []Fig2Row {
 	sttCfg := sim.DefaultConfig()
 	sramCfg := sttCfg.WithSRAML3()
 	mixes := duplicateMixes(workload.SPEC(), sttCfg.Cores)
-	warm(opt, append(
+	warmRuns(opt, append(
 		mixRunBatch(sttCfg, opt, mixes, noniPol(), exPol()),
 		mixRunBatch(sramCfg, opt, mixes, noniPol(), exPol())...))
 	var rows []Fig2Row

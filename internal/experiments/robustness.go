@@ -25,12 +25,12 @@ func robustnessTable(id, title string, opt Options, configs []struct {
 		},
 	}
 	mixes := workload.TableIII()
-	var batch []func()
+	var batch []mixRun
 	for _, c := range configs {
 		pols := evaluatedPolicies(c.cfg, opt)
 		batch = append(batch, mixRunBatch(c.cfg, opt, mixes, append([]namedPolicy{noniPol()}, pols...)...)...)
 	}
-	warm(opt, batch)
+	warmRuns(opt, batch)
 	for _, c := range configs {
 		pols := evaluatedPolicies(c.cfg, opt)
 		sums := make([]float64, len(pols))

@@ -32,7 +32,9 @@ func TestOptionsWorkers(t *testing.T) {
 
 // TestDeterminismAcrossJobs regenerates every registry artifact serially
 // and on an 8-worker pool and requires identical tables: the scheduler
-// must be invisible in the output. Set LAP_DETERMINISM_SCALE=quick to run
+// must be invisible in the output. The pool's exact batches replay
+// recorded private levels (streams.go) where the serial pass walks them
+// directly, so this also checks the replay against the direct walk. Set LAP_DETERMINISM_SCALE=quick to run
 // the comparison at the Quick() scale instead of the reduced test scale.
 // Under -race the sweep narrows to a subset that still covers every
 // scheduler path (see race_on_test.go).

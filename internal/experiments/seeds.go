@@ -23,14 +23,14 @@ func ExtSeeds(opt Options) *Table {
 		},
 	}
 	mixes := workload.TableIII()
-	var batch []func()
+	var batch []mixRun
 	for s := 0; s < nSeeds; s++ {
 		o := opt
 		o.Seed = opt.Seed + uint64(s)*7919
 		batch = append(batch, mixRunBatch(cfg, o, mixes,
 			noniPol(), namedPolicy{"LAP", LAP(o)}, exPol())...)
 	}
-	warm(opt, batch)
+	warmRuns(opt, batch)
 	var allLap, allEx stats.Stream
 	for _, mix := range mixes {
 		var lapS, exS stats.Stream

@@ -176,11 +176,11 @@ func Fig23(opt Options) *Table {
 		return sim.DefaultConfig().WithSTTL3(energy.STTRAM().WithWriteReadRatio(ratioWR))
 	}
 	mixes := workload.TableIII()
-	var batch []func()
+	var batch []mixRun
 	for _, p := range points {
 		batch = append(batch, mixRunBatch(cfgFor(p.ratioWR), opt, mixes, noniPol(), namedPolicy{"LAP", LAP(opt)})...)
 	}
-	warm(opt, batch)
+	warmRuns(opt, batch)
 	for _, p := range points {
 		cfg := cfgFor(p.ratioWR)
 		var save float64

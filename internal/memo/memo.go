@@ -293,6 +293,31 @@ func (c *Cache[K, V]) evictLocked() []K {
 	return dropped
 }
 
+// Contains reports whether key has an entry, completed or in flight,
+// without counting a recall or touching its recency.
+func (c *Cache[K, V]) Contains(key K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
+// Forget drops key's completed entry, so its value can be collected
+// once no caller holds it, and reports whether one was resident. An
+// in-flight entry is left alone: its compute and waiters finish as
+// usual.
+func (c *Cache[K, V]) Forget(key K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.entries[key]
+	if !ok || e.elem == nil {
+		return false
+	}
+	c.order.Remove(e.elem)
+	delete(c.entries, key)
+	return true
+}
+
 // Len reports the number of resident entries, including in-flight ones.
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()

@@ -478,3 +478,36 @@ func TestEvictObserver(t *testing.T) {
 		t.Fatalf("Evicted = %d, want 3", got)
 	}
 }
+
+// TestForget: Forget drops a completed entry, so the next request
+// recomputes, and leaves an in-flight one alone; Contains sees both
+// without counting.
+func TestForget(t *testing.T) {
+	c := New[string, int](0)
+	if c.Forget("missing") {
+		t.Fatal("Forget dropped a key that was never computed")
+	}
+	release := make(chan struct{})
+	started := make(chan struct{})
+	done := make(chan int)
+	go func() { done <- c.Do("slow", func() int { close(started); <-release; return 1 }) }()
+	<-started
+	if c.Forget("slow") {
+		t.Fatal("Forget dropped an in-flight entry")
+	}
+	close(release)
+	if v := <-done; v != 1 {
+		t.Fatalf("in-flight compute delivered %d after Forget, want 1", v)
+	}
+
+	c.Do("k", func() int { return 42 })
+	if before := c.Stats(); !c.Contains("k") || !c.Contains("slow") || c.Stats() != before {
+		t.Fatal("Contains missed a resident key or counted a recall")
+	}
+	if !c.Forget("k") || c.Len() != 1 || c.Contains("k") {
+		t.Fatalf("Forget of a completed entry: len %d, want 1 (only slow)", c.Len())
+	}
+	if v := c.Do("k", func() int { return 7 }); v != 7 {
+		t.Fatalf("request after Forget recalled %d, want a recompute (7)", v)
+	}
+}

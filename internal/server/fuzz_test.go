@@ -48,9 +48,9 @@ func oneRunRequest(body []byte) bool {
 }
 
 // costly reports bodies whose machine would take the fuzzer seconds to
-// simulate even at 2000 accesses per core: many cores or threads, deep
-// prefetching, or caches far larger or more associative than Table
-// II's. The server accepts them (Validate bounds none of these).
+// simulate even at 2000 accesses per core: many cores or threads, or
+// caches far larger than Table II's. The server accepts them (Validate
+// bounds ways and prefetch degree, but not these).
 func costly(body []byte) bool {
 	var req RunRequest
 	if json.Unmarshal(body, &req) != nil {
@@ -60,8 +60,7 @@ func costly(body []byte) bool {
 	if err != nil {
 		return false
 	}
-	const bigCache, manyWays = 64 << 20, 64
-	return cfg.Cores > 16 || req.Threads > 16 || cfg.PrefetchDegree > 16 ||
-		cfg.L1SizeBytes > bigCache || cfg.L2SizeBytes > bigCache || cfg.L3SizeBytes > bigCache ||
-		cfg.L1Ways > manyWays || cfg.L2Ways > manyWays || cfg.L3Ways > manyWays
+	const bigCache = 64 << 20
+	return cfg.Cores > 16 || req.Threads > 16 ||
+		cfg.L1SizeBytes > bigCache || cfg.L2SizeBytes > bigCache || cfg.L3SizeBytes > bigCache
 }

@@ -164,6 +164,8 @@ func TestRunValidation(t *testing.T) {
 	for _, tc := range []struct{ config, field string }{
 		{`{"Cores": -1}`, "Cores"},
 		{`{"BlockBytes": 32}`, "BlockBytes"},
+		{`{"L1Ways": 128, "L1SizeBytes": 65536}`, "L1Ways"},
+		{`{"PrefetchDegree": 100000}`, "PrefetchDegree"},
 	} {
 		status, body := post(t, ts.URL+"/v1/run",
 			RunRequest{Mix: "WL1", Config: json.RawMessage(tc.config)})

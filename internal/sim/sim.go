@@ -111,6 +111,11 @@ type coreState struct {
 	bufPos int
 	srcEOF bool
 
+	// rp, when set, replaces the source and the L1/L2 walk: the core
+	// takes its accesses and their LLC operations from a recording
+	// (replay.go).
+	rp *replayCursor
+
 	// worker/gateKey/gateHeld belong to the banked execution mode: the
 	// worker that owns this core, the published pre-access progress key,
 	// and whether this access already acquired the shared-state gate.
@@ -294,10 +299,18 @@ func build(cfg Config, ctrl core.Controller, srcs []trace.Source) *machine {
 			m.moesi = coherence.NewDirectory(cfg.Cores)
 		}
 	}
-	if _, ok := ctrl.(*core.Inclusive); ok {
+	if backInvalidates(ctrl) {
 		ctx.BackInvalidate = m.backInvalidate
 	}
 	return m
+}
+
+// backInvalidates reports whether ctrl reaches into the private levels:
+// the inclusive controller removes every upper-level copy of an LLC
+// victim.
+func backInvalidates(ctrl core.Controller) bool {
+	_, ok := ctrl.(*core.Inclusive)
+	return ok
 }
 
 // loop drives the run to completion. The serial loop advances the
@@ -346,12 +359,19 @@ func (m *machine) serialLoop(stopAfterWarmup bool) {
 		if next == nil {
 			return
 		}
-		acc, ok := next.next()
-		if !ok {
-			next.done = true
-			continue
+		if next.rp != nil {
+			if !m.replayStep(next) {
+				next.done = true
+				continue
+			}
+		} else {
+			acc, ok := next.next()
+			if !ok {
+				next.done = true
+				continue
+			}
+			m.step(next, acc)
 		}
-		m.step(next, acc)
 		next.nAcc++
 		if m.tel != nil {
 			m.telTick()
@@ -471,11 +491,8 @@ func (m *machine) subtractBaselines() {
 // the banked mode this function runs concurrently across cores and only
 // the gated sections may touch the shared Ctx.
 func (m *machine) step(c *coreState, acc trace.Access) {
-	cfg := &m.cfg
-	c.instrs += uint64(acc.Instrs)
-	c.cycles += cfg.BaseCPI * float64(acc.Instrs)
-
-	block := acc.Addr / uint64(cfg.BlockBytes)
+	m.retire(c, acc.Instrs)
+	block := acc.Addr / uint64(m.cfg.BlockBytes)
 	lat := m.access(c, block, acc.Write)
 	if m.moesi != nil {
 		if acc.Write {
@@ -484,14 +501,27 @@ func (m *machine) step(c *coreState, acc trace.Access) {
 			m.moesi.Read(c.id, block)
 		}
 	}
+	m.stall(c, lat, acc.Write)
+}
 
-	// Latency beyond the (pipelined) L1 stalls the core, divided by the
-	// memory-level parallelism the OoO window extracts; stores stall only
-	// for the un-buffered fraction.
+// retire charges an access's instructions to core c at the base CPI.
+// It runs before the access, so the LLC sees the core's clock as of
+// the access's issue.
+func (m *machine) retire(c *coreState, instrs uint16) {
+	c.instrs += uint64(instrs)
+	c.cycles += m.cfg.BaseCPI * float64(instrs)
+}
+
+// stall charges core c for an access of latency lat: latency beyond the
+// (pipelined) L1 stalls the core, divided by the memory-level
+// parallelism the OoO window extracts; stores stall only for the
+// un-buffered fraction.
+func (m *machine) stall(c *coreState, lat uint64, write bool) {
+	cfg := &m.cfg
 	penalty := 0.0
 	if lat > cfg.L1Cycles {
 		penalty = float64(lat-cfg.L1Cycles) / cfg.MLP
-		if acc.Write {
+		if write {
 			penalty *= cfg.StoreStallFrac
 		}
 	}
@@ -716,18 +746,22 @@ func (m *machine) onL2Evict(c *coreState, v cache.Line) {
 	if m.moesi != nil && c.l1.Probe(v.Tag) < 0 {
 		m.moesi.Evict(c.id, v.Tag)
 	}
-	met := c.met
-	met.L2Evictions++
-	if v.Dirty {
-		met.L2DirtyEvictions++
-	} else {
-		met.L2CleanEvictions++
-	}
+	countL2Victim(c.met, v.Dirty)
 	if m.ctx.Prof != nil {
 		m.ctx.Prof.OnL2Evict(v.Tag, v.Dirty)
 	}
 	m.ctx.Now = uint64(c.cycles)
 	m.ctrl.EvictL2(m.ctx, v)
+}
+
+// countL2Victim counts one L2 eviction by its dirtiness.
+func countL2Victim(met *core.Metrics, dirty bool) {
+	met.L2Evictions++
+	if dirty {
+		met.L2DirtyEvictions++
+	} else {
+		met.L2CleanEvictions++
+	}
 }
 
 // backInvalidate enforces strict inclusion: every upper-level copy of the

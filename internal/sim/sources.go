@@ -46,14 +46,20 @@ func ThreadSources(b workload.Benchmark, threads int, accesses uint64, seed uint
 
 // RunMix is the common experiment step: simulate a mix under a controller.
 func RunMix(cfg Config, ctrl Controller, mix workload.Mix, accesses, seed uint64) (Result, error) {
-	if len(mix.Members) != cfg.Cores {
-		return Result{}, fmt.Errorf("sim: mix %s has %d members for %d cores", mix.Name, len(mix.Members), cfg.Cores)
-	}
-	srcs, err := MixSources(mix, accesses, seed)
+	srcs, err := mixSources(cfg, mix, accesses, seed)
 	if err != nil {
 		return Result{}, err
 	}
 	return Run(cfg, ctrl(), srcs), nil
+}
+
+// mixSources is MixSources for a machine, which must have one core per
+// mix member.
+func mixSources(cfg Config, mix workload.Mix, accesses, seed uint64) ([]trace.Source, error) {
+	if len(mix.Members) != cfg.Cores {
+		return nil, fmt.Errorf("sim: mix %s has %d members for %d cores", mix.Name, len(mix.Members), cfg.Cores)
+	}
+	return MixSources(mix, accesses, seed)
 }
 
 // RunThreaded simulates a multi-threaded benchmark with coherence enabled.

@@ -1,6 +1,10 @@
 package sim
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/cache"
+)
 
 // FieldError is a validation failure tied to one Config field, so API
 // layers can tell a caller which knob to fix (lapserved returns the
@@ -22,6 +26,11 @@ func fieldErrf(field, format string, args ...any) *FieldError {
 	return &FieldError{Field: field, Reason: fmt.Sprintf(format, args...)}
 }
 
+// MaxPrefetchDegree bounds Config.PrefetchDegree. Each prefetched block
+// costs an LLC fetch and possibly an L2 victim, so the bound also caps
+// how many LLC operations one access can issue.
+const MaxPrefetchDegree = 16
+
 // Validate checks the configuration for the mistakes the simulator would
 // otherwise panic on. Every failure is a *FieldError naming the field.
 func (c Config) Validate() error {
@@ -35,10 +44,16 @@ func (c Config) Validate() error {
 		return fieldErrf("BlockBytes", "block size must be at least 64 bytes (got %d)", c.BlockBytes)
 	case c.L1SizeBytes <= 0 || c.L1Ways <= 0:
 		return fieldErrf("L1SizeBytes", "invalid L1 geometry %d/%d-way", c.L1SizeBytes, c.L1Ways)
+	case c.L1Ways > cache.MaxWays:
+		return fieldErrf("L1Ways", "L1 associativity %d exceeds the %d-way limit", c.L1Ways, cache.MaxWays)
 	case c.L2SizeBytes <= 0 || c.L2Ways <= 0:
 		return fieldErrf("L2SizeBytes", "invalid L2 geometry %d/%d-way", c.L2SizeBytes, c.L2Ways)
+	case c.L2Ways > cache.MaxWays:
+		return fieldErrf("L2Ways", "L2 associativity %d exceeds the %d-way limit", c.L2Ways, cache.MaxWays)
 	case c.L3SizeBytes <= 0 || c.L3Ways <= 0:
 		return fieldErrf("L3SizeBytes", "invalid L3 geometry %d/%d-way", c.L3SizeBytes, c.L3Ways)
+	case c.L3Ways > cache.MaxWays:
+		return fieldErrf("L3Ways", "L3 associativity %d exceeds the %d-way limit", c.L3Ways, cache.MaxWays)
 	case c.L3SRAMWays < 0 || c.L3SRAMWays > c.L3Ways:
 		return fieldErrf("L3SRAMWays", "hybrid SRAM ways %d out of range 0..%d", c.L3SRAMWays, c.L3Ways)
 	case c.L3Banks <= 0 || c.L3Banks&(c.L3Banks-1) != 0:
@@ -49,8 +64,8 @@ func (c Config) Validate() error {
 		return fieldErrf("BaseCPI", "must be positive (got %g)", c.BaseCPI)
 	case c.MLP <= 0:
 		return fieldErrf("MLP", "must be positive (got %g)", c.MLP)
-	case c.PrefetchDegree < 0:
-		return fieldErrf("PrefetchDegree", "prefetch degree must be non-negative (got %d)", c.PrefetchDegree)
+	case c.PrefetchDegree < 0 || c.PrefetchDegree > MaxPrefetchDegree:
+		return fieldErrf("PrefetchDegree", "prefetch degree must be in 0..%d (got %d)", MaxPrefetchDegree, c.PrefetchDegree)
 	case c.Banks < 0:
 		return fieldErrf("Banks", "worker banks must be non-negative (got %d)", c.Banks)
 	case c.MSHREntries < 0:
