@@ -34,6 +34,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -79,6 +80,10 @@ type timingReport struct {
 	RunsPerSec   float64           `json:"runs_per_sec"`
 	Artifacts    []artifactTiming  `json:"artifacts"`
 	Failures     []artifactFailure `json:"failures,omitempty"`
+	// PeakRSSMB is the process's peak resident set (VmHWM) once every
+	// artifact has been generated, in MiB; absent where
+	// /proc/self/status cannot be read.
+	PeakRSSMB float64 `json:"peak_rss_mb,omitempty"`
 	// Counters is the obs snapshot of the process-wide memo and pool
 	// instrumentation ("lapexp_memo_computed_total" etc.), the same series
 	// lapserved exposes on /metrics. Populated only for -timings runs.
@@ -301,7 +306,27 @@ func generate(opt experiments.Options, targets []string, csvDir string, stdout, 
 	if report.TotalSeconds > 0 {
 		report.RunsPerSec = float64(report.TotalRuns) / report.TotalSeconds
 	}
+	report.PeakRSSMB = peakRSSMB()
 	return report, nil
+}
+
+// peakRSSMB is the process's peak resident set (VmHWM) in MiB, or 0
+// when /proc/self/status cannot be read.
+func peakRSSMB() float64 {
+	b, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, l := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(l, "VmHWM:"); ok {
+			kb, err := strconv.ParseFloat(strings.TrimSuffix(strings.TrimSpace(v), " kB"), 64)
+			if err != nil {
+				return 0
+			}
+			return kb / 1024
+		}
+	}
+	return 0
 }
 
 // runArtifact executes one generator with panic isolation: a simulation

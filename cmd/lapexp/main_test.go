@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"io"
+	"os"
 	"runtime"
 	"strings"
 	"testing"
@@ -68,6 +69,13 @@ func TestTimingsReportRoundTrip(t *testing.T) {
 	}
 	if back.TotalSeconds <= 0 || back.RunsPerSec <= 0 {
 		t.Errorf("totals not populated: %+v", back)
+	}
+	// The peak resident set comes from /proc/self/status and is left out
+	// where that file cannot be read.
+	if _, err := os.Stat("/proc/self/status"); err == nil && back.PeakRSSMB <= 0 {
+		t.Errorf("peak_rss_mb not populated: %v", back.PeakRSSMB)
+	} else if err != nil && strings.Contains(string(buf), "peak_rss_mb") {
+		t.Errorf("peak_rss_mb reported without /proc/self/status: %s", buf)
 	}
 
 	// The document must survive a second encode byte-identically (the

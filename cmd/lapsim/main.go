@@ -149,6 +149,9 @@ func main() {
 			cfg.CheckpointEvery = *checkpointEvery
 		}
 	}
+	if *bench != "" && *threads > 0 {
+		cfg.Cores = *threads
+	}
 	if err := lap.ValidateConfig(cfg); err != nil {
 		fatal("%v", err)
 	}
@@ -163,9 +166,6 @@ func main() {
 	}
 	for _, n := range notices {
 		fmt.Fprintln(os.Stderr, "lapsim: "+n)
-	}
-	if *bench != "" && *threads > 0 {
-		cfg.Cores = *threads
 	}
 	// In sampled mode one functional profile serves every policy: the
 	// signatures and checkpoints are policy-independent, so the sweep

@@ -54,7 +54,9 @@ func ParseConfig(data []byte) (Config, error) {
 }
 
 // ValidateConfig checks a configuration for the mistakes the simulator
-// would otherwise panic on. Failures are *FieldError values naming the
+// would otherwise panic on, and for machines too large to simulate
+// (more than MaxCores cores, an L1 over 1 MiB, an L2 over 4 MiB or an
+// LLC over 512 MiB). Failures are *FieldError values naming the
 // offending Config field.
 func ValidateConfig(cfg Config) error {
 	return cfg.Validate()

@@ -95,6 +95,17 @@ func TestValidateConfig(t *testing.T) {
 		{"L2Ways", func(c *Config) { c.L2Ways = 128 }},
 		{"L3Ways", func(c *Config) { c.L3Ways = 128 }},
 		{"L3SizeBytes", func(c *Config) { c.L3SizeBytes = 3 << 20 }}, // 3MB/16w -> non-pow2 sets
+		// Machines too large to simulate: their caches alone would take
+		// gigabytes.
+		{"Cores", func(c *Config) { c.Cores = MaxCores + 1 }},
+		{"L1SizeBytes", func(c *Config) { c.L1SizeBytes = 2 << 20 }},
+		{"L2SizeBytes", func(c *Config) { c.L2SizeBytes = 8 << 20 }},
+		{"L3SizeBytes", func(c *Config) { c.L3SizeBytes = 1 << 30 }},
+		{"L3SizeBytes", func(c *Config) { c.L3SizeBytes = 64 << 30 }},
+		{"L3Banks", func(c *Config) { c.L3Banks = 1 << 40 }},
+		{"MSHREntries", func(c *Config) { c.MSHREntries = 1 << 33 }},
+		{"DRAM", func(c *Config) { c.UseDRAM, c.DRAM.Banks, c.DRAM.RowBytes, c.DRAM.BlockBytes = true, 1<<33, 8192, 64 }},
+		{"DRAM", func(c *Config) { c.UseDRAM, c.DRAM.Banks, c.DRAM.RowBytes, c.DRAM.BlockBytes = true, 8, 32, 64 }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultConfig()
@@ -108,6 +119,19 @@ func TestValidateConfig(t *testing.T) {
 		if !errors.As(err, &fe) || fe.Field != tc.field {
 			t.Errorf("%s: error %v does not name the field", tc.field, err)
 		}
+	}
+}
+
+// TestValidateConfigLargestMachine: the size bounds are inclusive, and
+// the largest machine they admit is valid.
+func TestValidateConfigLargestMachine(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cores = MaxCores
+	cfg.L1SizeBytes = 1 << 20
+	cfg.L2SizeBytes = 4 << 20
+	cfg.L3SizeBytes = 512 << 20
+	if err := ValidateConfig(cfg); err != nil {
+		t.Fatalf("largest machine rejected: %v", err)
 	}
 }
 

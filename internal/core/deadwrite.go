@@ -41,6 +41,10 @@ func NewDeadWriteBypass(base Controller) *DeadWriteBypass {
 // Name implements Controller.
 func (c *DeadWriteBypass) Name() string { return c.base.Name() + "+DWB" }
 
+// Base returns the wrapped controller, so the simulator can see the
+// inclusion policy underneath (an inclusive base still back-invalidates).
+func (c *DeadWriteBypass) Base() Controller { return c.base }
+
 // Duel forwards the base controller's dueling state when it has one.
 func (c *DeadWriteBypass) Duel() *cache.Duel {
 	if d, ok := c.base.(interface{ Duel() *cache.Duel }); ok {

@@ -105,7 +105,8 @@ func cellFor(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options)
 // a typed *pool.RunError, a configuration error propagates as-is, and
 // either way nothing is cached (a retry recomputes). An exact run whose
 // mix's private levels a warm batch holds recorded replays them
-// (streams.go); every other run walks them directly.
+// (streams.go); every other run walks them directly. A sampled run holds
+// its mix's profile while a warm batch does.
 func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options) (sim.Result, error) {
 	cfg, c, key := cellFor(cfg, ctrl, mix, opt)
 	cell := key.Mix + "|" + key.Policy
@@ -120,7 +121,11 @@ func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options) (s
 			return sim.Result{}, err
 		}
 		if cfg.SampleInterval > 0 {
-			prof, err := profileFor(cfg, mix, opt)
+			pk := profileKeyFor(cfg, mix, opt)
+			if profiles.holdIfHeld(pk) {
+				defer profiles.release(pk)
+			}
+			prof, err := profileFor(ctx, pk, cfg, mix, opt)
 			if err != nil {
 				return sim.Result{}, err
 			}
@@ -140,8 +145,8 @@ func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options) (s
 				return sim.MixSources(mix, opt.Accesses, opt.Seed)
 			})
 		}
-		if sk, ok := replayKey(cfg, c, mix, opt); ok && holdIfHeld(sk) {
-			defer release(sk)
+		if sk, ok := replayKey(cfg, c, mix, opt); ok && streams.holdIfHeld(sk) {
+			defer streams.release(sk)
 			st, err := streamsFor(ctx, sk, cfg, mix, opt)
 			if err != nil {
 				return sim.Result{}, err
@@ -203,23 +208,27 @@ type profileKey struct {
 	Seed     uint64
 }
 
-// profiles caches one functional profile per (config, mix, scale); a
-// Fig. 14-style sweep then pays one profiling pass for its six-plus
-// policies per mix.
-var profiles = memocache.New[profileKey, *sample.Profile](0)
-
-func profileFor(cfg sim.Config, mix workload.Mix, opt Options) (*sample.Profile, error) {
-	kcfg := cfg
-	kcfg.Banks = 0
-	kcfg.SampleClusters = 0
-	kcfg.SampleWarmup = 0
-	key := profileKey{
-		Cfg:      kcfg,
+func profileKeyFor(cfg sim.Config, mix workload.Mix, opt Options) profileKey {
+	cfg.Banks = 0
+	cfg.SampleClusters = 0
+	cfg.SampleWarmup = 0
+	return profileKey{
+		Cfg:      cfg,
 		Mix:      mixID(mix),
 		Accesses: opt.Accesses,
 		Seed:     opt.Seed,
 	}
-	return profiles.DoErr(context.Background(), key, func() (*sample.Profile, error) {
+}
+
+// profiles caches one functional profile per (config, mix, scale); a
+// Fig. 14-style sweep then pays one profiling pass for its six-plus
+// policies per mix. Like a recording, a profile a warm batch holds is
+// dropped after the batch's last run of its mix (streams.go).
+var profiles = newHeldMemo[profileKey, *sample.Profile]("profiles", "profile")
+
+// profileFor returns key's profile, building it on first use.
+func profileFor(ctx context.Context, key profileKey, cfg sim.Config, mix workload.Mix, opt Options) (*sample.Profile, error) {
+	return profiles.get(ctx, key, func() (*sample.Profile, error) {
 		build := func() (*sample.Profile, error) {
 			srcs, err := sim.MixSources(mix, opt.Accesses, opt.Seed)
 			if err != nil {
@@ -234,7 +243,7 @@ func profileFor(cfg sim.Config, mix workload.Mix, opt Options) (*sample.Profile,
 		// replaces the functional pass (replay positions are rebuilt from
 		// fresh sources); a freshly built one is persisted for the next
 		// process. Store failures degrade to build().
-		ck := checkpoint.ProfileKey(kcfg,
+		ck := checkpoint.ProfileKey(key.Cfg,
 			checkpoint.MixWorkload(mix.Name, mix.Members, cfg.Cores, opt.Accesses, opt.Seed))
 		codec := checkpoint.ProfileCodec[*sample.Profile]{
 			Encode: func(p *sample.Profile) []byte { return p.Encode() },
@@ -316,19 +325,19 @@ func runThreaded(cfg sim.Config, policyName string, ctrl sim.Controller, b workl
 func RegisterMetrics(r *obs.Registry, ns string) {
 	memo.Register(r, ns+"_memo")
 	profiles.Register(r, ns+"_profile_memo")
-	registerStreams(r, ns+"_stream_memo")
+	streams.Register(r, ns+"_stream_memo")
 	pool.Register(r, ns+"_pool")
 	sample.RegisterMetrics(r, ns)
 }
 
-// ResetMemo clears the run cache and drops every recorded stream
-// (tests and benchmarks use it to bound memory and force
+// ResetMemo clears the run cache and drops every profile and recorded
+// stream (tests and benchmarks use it to bound memory and force
 // recomputation). See memo.Cache.Reset for the contract under
 // concurrency; the Stats counters survive a reset.
 func ResetMemo() {
 	memo.Reset()
 	profiles.Reset()
-	resetStreams()
+	streams.Reset()
 }
 
 // MemoStats counts run-cache activity since process start: Computed is

@@ -42,14 +42,14 @@ type mixRun struct {
 	opt Options
 }
 
-// mixRunBatch lists one run per (mix, policy) pair under cfg, policy-
+// mixRunBatch lists one run per (mix, policy) pair under cfg, mix-
 // major. Compose batches across configurations with append before a
 // single warmRuns call, to maximise overlap and to let configurations
 // that differ only below the L2 share each mix's recording.
 func mixRunBatch(cfg sim.Config, opt Options, mixes []workload.Mix, pols ...namedPolicy) []mixRun {
 	batch := make([]mixRun, 0, len(mixes)*len(pols))
-	for _, p := range pols {
-		for _, mix := range mixes {
+	for _, mix := range mixes {
+		for _, p := range pols {
 			batch = append(batch, mixRun{cfg, p, mix, opt})
 		}
 	}
@@ -64,92 +64,73 @@ func warmMixRuns(cfg sim.Config, opt Options, mixes []workload.Mix, pols ...name
 // warmRuns warms a batch of mix runs, skipping duplicates; opt gives
 // the worker count.
 //
-// A batch in which some mix has at least two replayable runs still to
-// compute runs mix-major, one group of units per recording
-// (streams.go). Such a group holds its recording: the record unit goes
-// right after the previous group's first run, so the recording is made
-// while the workers finish that group, and each of the group's units
-// drops its hold when it ends. A group with fewer walks its runs
-// directly, since recording costs most of a direct run.
-//
-// Any other batch keeps its order. Sampled runs never replay, so a
-// sampled batch stays policy-major: every run of a mix waits on that
-// mix's one functional profile, and mix-major order would start all
-// workers on the same mix and leave all but one blocked while it
-// profiles.
+// The batch runs mix-major, one group of units per per-mix artifact
+// (streams.go): the functional profile that a mix's sampled runs read,
+// or the recording that its exact replayable runs replay. A group
+// holds its artifact when building it pays: a profile for any sampled
+// run still to compute, a recording for two or more replayable ones
+// (a group with fewer walks its runs directly, since recording costs
+// most of a direct run). Each group's build unit goes just before the
+// previous group's runs (the first group's leads the batch), so an
+// artifact is built while the workers run the group before it. Each of
+// the group's units drops its hold when it ends, and the last drops
+// the artifact, so resident artifacts stay bounded by the worker count
+// plus one.
 func warmRuns(opt Options, runs []mixRun) {
 	if opt.workers() <= 1 {
 		return // warm is a no-op: the serial collection pass computes each run
 	}
-	unit := func(r mixRun) func() {
-		return func() { run(r.cfg, r.pol.Name, r.pol.New, r.mix, r.opt) }
-	}
-	seen := map[memoKey]bool{}
-	var order []mixRun
 	type group struct {
-		key    streamKey
-		runs   []mixRun
-		record mixRun // a replayable run to compute, recorded under its config
-		replay int    // replayable runs still to compute
+		runs    []mixRun
+		art     artifact // the artifact of a run still to compute
+		compute int      // the group's runs that read art, still to compute
 	}
 	var groups []*group
-	byKey := map[streamKey]*group{}
+	byKey := map[groupKey]*group{}
+	seen := map[memoKey]bool{}
 	for _, r := range runs {
 		cfg, c, key := cellFor(r.cfg, r.pol.New, r.mix, r.opt)
 		if seen[key] {
 			continue
 		}
 		seen[key] = true
-		order = append(order, r)
-		sk, ok := replayKey(cfg, c, r.mix, r.opt)
-		g := byKey[sk]
+		gk, art := artifactFor(cfg, c, r.mix, r.opt)
+		g := byKey[gk]
 		if g == nil {
-			g = &group{key: sk}
-			byKey[sk] = g
+			g = &group{}
+			byKey[gk] = g
 			groups = append(groups, g)
 		}
 		g.runs = append(g.runs, r)
-		if ok && !memo.Contains(key) {
-			g.replay++
-			g.record = mixRun{cfg: cfg, mix: r.mix, opt: r.opt}
+		if art != nil && !memo.Contains(key) {
+			g.art = art
+			g.compute++
 		}
 	}
+	held := func(g *group) bool { return g.art != nil && g.art.pays(g.compute) }
 	var batch []func()
-	held := false
-	for _, g := range groups {
-		held = held || g.replay >= 2
-	}
-	if !held {
-		for _, r := range order {
-			batch = append(batch, unit(r))
-		}
-		warm(opt, batch)
-		return
-	}
-	// Holds are taken before any unit runs, so a record unit never
-	// finds its group unheld.
-	recordAhead := func(i int) {
-		if i < len(groups) && groups[i].replay >= 2 {
+	// Holds are taken before any unit runs, so a build unit never finds
+	// its group unheld.
+	buildAhead := func(i int) {
+		if i < len(groups) && held(groups[i]) {
 			g := groups[i]
-			hold(g.key, len(g.runs))
-			batch = append(batch, recordUnit(g.key, g.record.cfg, g.record.mix, g.record.opt))
+			g.art.hold(len(g.runs))
+			batch = append(batch, g.art.build)
 		}
 	}
-	recordAhead(0)
+	buildAhead(0)
 	for i, g := range groups {
-		for j, r := range g.runs {
-			u := unit(r)
-			if g.replay >= 2 {
-				key, run := g.key, u
+		buildAhead(i + 1)
+		for _, r := range g.runs {
+			u := func() { run(r.cfg, r.pol.Name, r.pol.New, r.mix, r.opt) }
+			if held(g) {
+				art, run := g.art, u
 				u = func() {
-					defer release(key)
+					defer art.release()
 					run()
 				}
 			}
 			batch = append(batch, u)
-			if j == 0 {
-				recordAhead(i + 1)
-			}
 		}
 	}
 	warm(opt, batch)

@@ -83,10 +83,12 @@ func TestDeterminismAcrossJobs(t *testing.T) {
 	}
 }
 
-// TestSampledDeterminismAcrossJobs regenerates Fig. 14 in sampled mode
-// serially and on a 4-worker pool and requires identical rows: the warm
-// pass is only a hint, so the order in which workers build the per-mix
-// profiles must not reach the output.
+// TestSampledDeterminismAcrossJobs regenerates Fig. 14 and Ext. STT in
+// sampled mode serially and on a 4-worker pool and requires identical
+// rows: the warm pass is only a hint, so the order in which workers
+// build, share and drop the per-mix profiles must not reach the output.
+// reuse-detector and rd-copyback are exact-only, so Ext. STT's batch
+// mixes held profile groups with groups of exact fallbacks.
 func TestSampledDeterminismAcrossJobs(t *testing.T) {
 	opt := Options{Accesses: 20_000, Seed: 2016, RandomMixes: 2, DuelPeriod: 40_000,
 		SampleInterval: 1000, SampleWarmup: 1}
@@ -94,16 +96,24 @@ func TestSampledDeterminismAcrossJobs(t *testing.T) {
 		opt.Accesses = 8_000
 		opt.RandomMixes = 1
 	}
-	generate := func(jobs int) *Table {
+	ids := []string{"fig14", "ext-stt"}
+	generate := func(jobs int) map[string]*Table {
 		ResetMemo()
 		o := opt
 		o.Jobs = jobs
-		return Registry(o)["fig14"]()
+		reg := Registry(o)
+		out := make(map[string]*Table, len(ids))
+		for _, id := range ids {
+			out[id] = reg[id]()
+		}
+		return out
 	}
 	serial, parallel := generate(1), generate(4)
-	if !reflect.DeepEqual(serial.Rows, parallel.Rows) {
-		t.Errorf("sampled fig14 rows differ between Jobs=1 and Jobs=4\nserial:   %v\nparallel: %v",
-			serial.Rows, parallel.Rows)
+	for _, id := range ids {
+		if !reflect.DeepEqual(serial[id].Rows, parallel[id].Rows) {
+			t.Errorf("sampled %s rows differ between Jobs=1 and Jobs=4\nserial:   %v\nparallel: %v",
+				id, serial[id].Rows, parallel[id].Rows)
+		}
 	}
 }
 

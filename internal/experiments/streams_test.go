@@ -4,39 +4,60 @@ import (
 	"reflect"
 	"testing"
 
+	memocache "repro/internal/memo"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
 // TestFig14RunsAndStreamBound regenerates Fig. 14 at the Quick mix
 // count (the ten Table III mixes and eight random ones) on two workers
-// from an empty memo, at a shorter length: which cells and recordings
-// a sweep makes does not depend on it.
+// from an empty memo, exact and sampled, at a shorter length: which
+// cells and per-mix artifacts a sweep makes does not depend on it.
 //   - Each (mix, controller) cell computes once: 90 runs. Keying cells
 //     by display label computed exclusive twice on the random mixes
 //     ("ex" and "Exclusive"), 98 runs.
-//   - Each mix's private levels are recorded once: 18 recordings.
-//   - The recordings resident at once stay bounded by the worker
-//     count, not by the 18 mixes, and none outlives the sweep.
+//   - Each mix's artifact is built once: 18 recordings exact, 18
+//     profiles sampled (and no recording, since sampled runs never
+//     replay).
+//   - The artifacts resident at once stay bounded by the worker count,
+//     not by the 18 mixes, and none outlives the sweep.
 func TestFig14RunsAndStreamBound(t *testing.T) {
-	opt := Quick()
-	opt.Accesses = 5_000
-	opt.Jobs = 2
-	ResetMemo()
-	runs, recs := Stats(), streams.Stats()
-	Fig14(opt)
-	if got := Stats().Computed - runs.Computed; got != 90 {
-		t.Errorf("Fig. 14 computed %d runs, want 90", got)
-	}
-	if got := streams.Stats().Computed - recs.Computed; got != 18 {
-		t.Errorf("Fig. 14 recorded %d mixes, want 18", got)
-	}
-	if peak := streamPeak(); peak < 1 || peak > opt.workers()+1 {
-		t.Errorf("up to %d recordings resident at once on %d workers, want 1..%d",
-			peak, opt.workers(), opt.workers()+1)
-	}
-	if n := streams.Len(); n != 0 {
-		t.Errorf("%d recordings outlived the sweep", n)
+	for _, tc := range []struct {
+		name     string
+		interval uint64
+		built    interface{ Stats() memocache.Stats }
+		idle     interface{ Stats() memocache.Stats }
+		peak     func() int
+		left     func() int
+	}{
+		{"exact", 0, streams, profiles, streams.peakEntries, streams.Len},
+		{"sampled", 1000, profiles, streams, profiles.peakEntries, profiles.Len},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opt := Quick()
+			opt.Accesses = 5_000
+			opt.Jobs = 2
+			opt.SampleInterval = tc.interval
+			ResetMemo()
+			runs, built, idle := Stats(), tc.built.Stats(), tc.idle.Stats()
+			Fig14(opt)
+			if got := Stats().Computed - runs.Computed; got != 90 {
+				t.Errorf("Fig. 14 computed %d runs, want 90", got)
+			}
+			if got := tc.built.Stats().Computed - built.Computed; got != 18 {
+				t.Errorf("Fig. 14 built %d per-mix artifacts, want 18", got)
+			}
+			if got := tc.idle.Stats().Computed - idle.Computed; got != 0 {
+				t.Errorf("Fig. 14 built %d artifacts of the other kind, want 0", got)
+			}
+			if peak := tc.peak(); peak < 1 || peak > opt.workers()+1 {
+				t.Errorf("up to %d artifacts resident at once on %d workers, want 1..%d",
+					peak, opt.workers(), opt.workers()+1)
+			}
+			if n := tc.left(); n != 0 {
+				t.Errorf("%d artifacts outlived the sweep", n)
+			}
+		})
 	}
 }
 

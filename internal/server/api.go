@@ -448,6 +448,12 @@ func (s *Server) resolveRun(req RunRequest) (*runSpec, error) {
 		// recall stale results.
 		workload = fmt.Sprintf("trace:%s@%016x", req.Trace, st.digest)
 	case req.Bench != "" && req.Threads > 0:
+		if req.Threads > lap.MaxCores {
+			return nil, badRequestError{
+				msg:   fmt.Sprintf("threads %d exceeds the %d-core limit", req.Threads, lap.MaxCores),
+				field: "threads",
+			}
+		}
 		b, err := lap.BenchmarkByName(req.Bench)
 		if err != nil {
 			return nil, badReqf("%v", err)

@@ -7,23 +7,19 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	lap "repro"
 )
 
 // FuzzRunBody drives arbitrary /v1/run bodies through the handler. The
 // server must never panic or answer 5xx: a body it cannot serve is the
 // client's error. It may answer 200 only to a body holding exactly one
-// RunRequest. The server caps runs at 2000 accesses per core so that
-// valid bodies simulate in milliseconds; seeds live in
+// RunRequest. The server caps runs at 2000 accesses per core, and
+// Validate caps the machine, so that even the largest valid body
+// simulates in well under a second; seeds live in
 // testdata/fuzz/FuzzRunBody.
 func FuzzRunBody(f *testing.F) {
 	s := New(Config{MaxAccesses: 2000})
 	h := s.Handler()
 	f.Fuzz(func(t *testing.T, body []byte) {
-		if costly(body) {
-			t.Skip("machine too large to simulate quickly")
-		}
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/run", bytes.NewReader(body)))
 		if rec.Code >= http.StatusInternalServerError {
@@ -45,22 +41,4 @@ func oneRunRequest(body []byte) bool {
 		return false
 	}
 	return strings.Trim(string(body[dec.InputOffset():]), " \t\r\n") == ""
-}
-
-// costly reports bodies whose machine would take the fuzzer seconds to
-// simulate even at 2000 accesses per core: many cores or threads, or
-// caches far larger than Table II's. The server accepts them (Validate
-// bounds ways and prefetch degree, but not these).
-func costly(body []byte) bool {
-	var req RunRequest
-	if json.Unmarshal(body, &req) != nil {
-		return false
-	}
-	cfg, err := lap.ParseConfig(req.Config)
-	if err != nil {
-		return false
-	}
-	const bigCache = 64 << 20
-	return cfg.Cores > 16 || req.Threads > 16 ||
-		cfg.L1SizeBytes > bigCache || cfg.L2SizeBytes > bigCache || cfg.L3SizeBytes > bigCache
 }

@@ -166,6 +166,8 @@ func TestRunValidation(t *testing.T) {
 		{`{"BlockBytes": 32}`, "BlockBytes"},
 		{`{"L1Ways": 128, "L1SizeBytes": 65536}`, "L1Ways"},
 		{`{"PrefetchDegree": 100000}`, "PrefetchDegree"},
+		{`{"Cores": 65}`, "Cores"},
+		{`{"L3SizeBytes": 68719476736}`, "L3SizeBytes"},
 	} {
 		status, body := post(t, ts.URL+"/v1/run",
 			RunRequest{Mix: "WL1", Config: json.RawMessage(tc.config)})
@@ -176,6 +178,13 @@ func TestRunValidation(t *testing.T) {
 		if err := json.Unmarshal(body, &fe); err != nil || fe.Field != tc.field {
 			t.Fatalf("400 body does not name the %s field: %s", tc.field, body)
 		}
+	}
+	// A threaded run's thread count becomes its core count, so it has
+	// the same bound.
+	status, body := post(t, ts.URL+"/v1/run", RunRequest{Bench: "x264", Threads: 65, Accesses: smallAccesses})
+	var fe errorResponse
+	if status != http.StatusBadRequest || json.Unmarshal(body, &fe) != nil || fe.Field != "threads" {
+		t.Fatalf("65 threads: got %d %s, want a 400 naming threads", status, body)
 	}
 
 	// Bodies that are not exactly one JSON object of known fields are

@@ -154,6 +154,9 @@ func TestReplayRefusesIneligible(t *testing.T) {
 	if _, err := Replay(cfg, core.NewInclusive(), st); err == nil {
 		t.Error("inclusive replayed; its back-invalidations write the private levels")
 	}
+	if _, err := Replay(cfg, core.NewDeadWriteBypass(core.NewInclusive()), st); err == nil {
+		t.Error("inclusive+DWB replayed; its back-invalidations write the private levels")
+	}
 	coherent := cfg
 	coherent.Coherent = true
 	if _, err := Replay(coherent, core.NewLAP(), st); err == nil {

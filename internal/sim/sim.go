@@ -307,10 +307,18 @@ func build(cfg Config, ctrl core.Controller, srcs []trace.Source) *machine {
 
 // backInvalidates reports whether ctrl reaches into the private levels:
 // the inclusive controller removes every upper-level copy of an LLC
-// victim.
+// victim, and so does a wrapper around it (inclusive+DWB).
 func backInvalidates(ctrl core.Controller) bool {
-	_, ok := ctrl.(*core.Inclusive)
-	return ok
+	for {
+		switch c := ctrl.(type) {
+		case *core.Inclusive:
+			return true
+		case interface{ Base() core.Controller }:
+			ctrl = c.Base()
+		default:
+			return false
+		}
+	}
 }
 
 // loop drives the run to completion. The serial loop advances the

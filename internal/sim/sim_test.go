@@ -208,6 +208,23 @@ func TestInclusiveBackInvalidation(t *testing.T) {
 	}
 }
 
+// TestInclusiveStrictUnderWrappers requires every LLC eviction of an
+// inclusive run to back-invalidate the private levels, also when a
+// wrapper (dead-write bypass) sits around the inclusive controller.
+func TestInclusiveStrictUnderWrappers(t *testing.T) {
+	cfg := smallCfg()
+	for _, ctrl := range []core.Controller{
+		core.NewInclusive(),
+		core.NewDeadWriteBypass(core.NewInclusive()),
+	} {
+		r := Run(cfg, ctrl, sourcesFor(writy(), 2, 40000))
+		if r.Met.L3Evictions == 0 || r.Met.BackInvalidations != r.Met.L3Evictions {
+			t.Errorf("%s: %d back-invalidations for %d LLC evictions, want one each",
+				ctrl.Name(), r.Met.BackInvalidations, r.Met.L3Evictions)
+		}
+	}
+}
+
 func TestThroughputPositive(t *testing.T) {
 	r := Run(smallCfg(), core.NewLAP(), sourcesFor(loopy(), 2, 20000))
 	if r.Throughput <= 0 || len(r.IPCs) != 2 {

@@ -31,12 +31,34 @@ func fieldErrf(field, format string, args ...any) *FieldError {
 // how many LLC operations one access can issue.
 const MaxPrefetchDegree = 16
 
+// Machine-size bounds. They admit every artifact's machine (the largest
+// has 8 cores, 1 MiB L2s and a 24 MiB LLC) and bound one run's
+// cache-line state at 9 B per line to about 120 MiB, so no accepted
+// configuration can exhaust the host building its caches. A sampled run
+// holds a few more copies of that state: its profile's snapshots.
+const (
+	// MaxCores bounds Config.Cores, and so a threaded run's threads.
+	MaxCores = 64
+	// MaxL1Bytes, MaxL2Bytes and MaxL3Bytes bound the cache capacities.
+	MaxL1Bytes = 1 << 20
+	MaxL2Bytes = 4 << 20
+	MaxL3Bytes = 512 << 20
+	// MaxL3Banks, MaxMSHREntries and MaxDRAMBanks bound the other
+	// tables a run allocates by a configured size.
+	MaxL3Banks     = 1024
+	MaxMSHREntries = 256
+	MaxDRAMBanks   = 1024
+)
+
 // Validate checks the configuration for the mistakes the simulator would
-// otherwise panic on. Every failure is a *FieldError naming the field.
+// otherwise panic on, and for machines too large to simulate. Every
+// failure is a *FieldError naming the field.
 func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
 		return fieldErrf("Cores", "must be positive (got %d)", c.Cores)
+	case c.Cores > MaxCores:
+		return fieldErrf("Cores", "at most %d cores (got %d)", MaxCores, c.Cores)
 	case c.BlockBytes < 64:
 		// A cache line packs its block number in 58 bits (cache.MaxBlock),
 		// which covers every 64-bit address only for blocks of 64 bytes
@@ -44,20 +66,28 @@ func (c Config) Validate() error {
 		return fieldErrf("BlockBytes", "block size must be at least 64 bytes (got %d)", c.BlockBytes)
 	case c.L1SizeBytes <= 0 || c.L1Ways <= 0:
 		return fieldErrf("L1SizeBytes", "invalid L1 geometry %d/%d-way", c.L1SizeBytes, c.L1Ways)
+	case c.L1SizeBytes > MaxL1Bytes:
+		return fieldErrf("L1SizeBytes", "L1 capacity %d exceeds the %d-byte limit", c.L1SizeBytes, MaxL1Bytes)
 	case c.L1Ways > cache.MaxWays:
 		return fieldErrf("L1Ways", "L1 associativity %d exceeds the %d-way limit", c.L1Ways, cache.MaxWays)
 	case c.L2SizeBytes <= 0 || c.L2Ways <= 0:
 		return fieldErrf("L2SizeBytes", "invalid L2 geometry %d/%d-way", c.L2SizeBytes, c.L2Ways)
+	case c.L2SizeBytes > MaxL2Bytes:
+		return fieldErrf("L2SizeBytes", "L2 capacity %d exceeds the %d-byte limit", c.L2SizeBytes, MaxL2Bytes)
 	case c.L2Ways > cache.MaxWays:
 		return fieldErrf("L2Ways", "L2 associativity %d exceeds the %d-way limit", c.L2Ways, cache.MaxWays)
 	case c.L3SizeBytes <= 0 || c.L3Ways <= 0:
 		return fieldErrf("L3SizeBytes", "invalid L3 geometry %d/%d-way", c.L3SizeBytes, c.L3Ways)
+	case c.L3SizeBytes > MaxL3Bytes:
+		return fieldErrf("L3SizeBytes", "L3 capacity %d exceeds the %d-byte limit", c.L3SizeBytes, MaxL3Bytes)
 	case c.L3Ways > cache.MaxWays:
 		return fieldErrf("L3Ways", "L3 associativity %d exceeds the %d-way limit", c.L3Ways, cache.MaxWays)
 	case c.L3SRAMWays < 0 || c.L3SRAMWays > c.L3Ways:
 		return fieldErrf("L3SRAMWays", "hybrid SRAM ways %d out of range 0..%d", c.L3SRAMWays, c.L3Ways)
 	case c.L3Banks <= 0 || c.L3Banks&(c.L3Banks-1) != 0:
 		return fieldErrf("L3Banks", "LLC banks must be a positive power of two (got %d)", c.L3Banks)
+	case c.L3Banks > MaxL3Banks:
+		return fieldErrf("L3Banks", "at most %d LLC banks (got %d)", MaxL3Banks, c.L3Banks)
 	case c.ClockHz <= 0:
 		return fieldErrf("ClockHz", "clock must be positive (got %g)", c.ClockHz)
 	case c.BaseCPI <= 0:
@@ -68,8 +98,12 @@ func (c Config) Validate() error {
 		return fieldErrf("PrefetchDegree", "prefetch degree must be in 0..%d (got %d)", MaxPrefetchDegree, c.PrefetchDegree)
 	case c.Banks < 0:
 		return fieldErrf("Banks", "worker banks must be non-negative (got %d)", c.Banks)
-	case c.MSHREntries < 0:
-		return fieldErrf("MSHREntries", "MSHR entries must be non-negative (got %d)", c.MSHREntries)
+	case c.MSHREntries < 0 || c.MSHREntries > MaxMSHREntries:
+		return fieldErrf("MSHREntries", "MSHR entries must be in 0..%d (got %d)", MaxMSHREntries, c.MSHREntries)
+	case c.UseDRAM && c.DRAM.Banks != 0 && (c.DRAM.Banks < 0 || c.DRAM.Banks > MaxDRAMBanks):
+		return fieldErrf("DRAM", "DRAM banks must be in 1..%d, or 0 for DDR3-1600 (got %d)", MaxDRAMBanks, c.DRAM.Banks)
+	case c.UseDRAM && c.DRAM.Banks != 0 && (c.DRAM.BlockBytes <= 0 || c.DRAM.RowBytes < c.DRAM.BlockBytes):
+		return fieldErrf("DRAM", "DRAM rows of %d bytes do not hold %d-byte blocks", c.DRAM.RowBytes, c.DRAM.BlockBytes)
 	case c.SampleInterval > 0 && c.SampleInterval < 1000:
 		return fieldErrf("SampleInterval", "sampling interval must be at least 1000 accesses per core (got %d)", c.SampleInterval)
 	case c.SampleClusters < 0 || c.SampleClusters > 256:

@@ -70,6 +70,9 @@ type (
 	SampleEstimate = sim.SampleEstimate
 )
 
+// MaxCores bounds Config.Cores and a threaded run's thread count.
+const MaxCores = sim.MaxCores
+
 // Policy names an inclusion property implemented by this library. Every
 // policy is an entry in the internal/core registry; the constants below
 // name the registered set, but any registered name (case-insensitively,
