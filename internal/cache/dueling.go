@@ -38,9 +38,16 @@ func NewDuel() *Duel {
 	return &Duel{Stride: 64, PeriodCycles: 10_000_000, winner: LeaderA}
 }
 
-// RoleOf classifies a set index.
+// RoleOf classifies a set index. Every controller calls it on each LLC
+// operation, so a power-of-two stride is a mask rather than a division.
 func (d *Duel) RoleOf(set int) Role {
-	switch set % d.Stride {
+	r, s := 0, d.Stride
+	if s > 0 && s&(s-1) == 0 {
+		r = set & (s - 1)
+	} else {
+		r = set % s
+	}
+	switch r {
 	case 0:
 		return LeaderA
 	case 1:

@@ -567,6 +567,25 @@ func TestProfilerCTC(t *testing.T) {
 	}
 }
 
+// TestProfilerFinishDropsBlocks checks that a finished profile keeps
+// its counters alone. A profiled Result holds its profiler, and
+// lapexp's run memo keeps every result until exit, so per-block state
+// left after Finish would stay live for the whole process.
+func TestProfilerFinishDropsBlocks(t *testing.T) {
+	p := NewProfiler()
+	for b := uint64(0); b < 1000; b++ {
+		p.OnFetch(b, true)
+		p.OnL2Evict(b, false)
+	}
+	p.Finish()
+	if n := len(p.blocks); n != 0 {
+		t.Fatalf("a finished profile holds the state of %d blocks", n)
+	}
+	if p.CTCRuns[1] != 1000 {
+		t.Fatalf("Finish flushed %d one-trip runs, want 1000", p.CTCRuns[1])
+	}
+}
+
 func TestProfilerCleanInsertAfterL3Evict(t *testing.T) {
 	p := NewProfiler()
 	p.OnCleanInsert(7) // first insert: not redundant

@@ -128,12 +128,16 @@ func (p *Profiler) OnL3Evict(block uint64) {
 	}
 }
 
-// Finish flushes in-flight clean-trip runs into the histogram; call once
-// at end of simulation before reading CTC statistics.
+// Finish flushes in-flight clean-trip runs into the histogram and drops
+// the per-block state, which only the run needs: a finished profile
+// keeps its counters alone, however many blocks the run touched. Call
+// it once, at the end of the simulation, before reading CTC statistics;
+// the profiler records nothing after it.
 func (p *Profiler) Finish() {
 	for _, st := range p.blocks {
 		p.endRun(st)
 	}
+	p.blocks = nil
 }
 
 func (p *Profiler) endRun(st *blockState) {

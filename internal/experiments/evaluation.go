@@ -168,8 +168,8 @@ func Fig14(opt Options) *Table {
 	}
 	mixes := workload.TableIII()
 	// One batch warms every run of the figure, the random mixes'
-	// baselines included, so each mix's private levels are recorded
-	// once.
+	// baselines included, so each distinct core's private levels are
+	// recorded once.
 	withBase := append([]namedPolicy{noniPol()}, pols...)
 	warmRuns(opt, append(
 		mixRunBatch(cfg, opt, mixes, withBase...),

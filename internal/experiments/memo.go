@@ -104,7 +104,7 @@ func cellFor(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options)
 // domain contained to its own memo cell: a panicking simulation becomes
 // a typed *pool.RunError, a configuration error propagates as-is, and
 // either way nothing is cached (a retry recomputes). An exact run whose
-// mix's private levels a warm batch holds recorded replays them
+// cores' private levels a warm batch holds recorded replays them
 // (streams.go); every other run walks them directly. A sampled run holds
 // its mix's profile while a warm batch does.
 func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options) (sim.Result, error) {
@@ -145,13 +145,15 @@ func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options) (s
 				return sim.MixSources(mix, opt.Accesses, opt.Seed)
 			})
 		}
-		if sk, ok := replayKey(cfg, c, mix, opt); ok && streams.holdIfHeld(sk) {
-			defer streams.release(sk)
-			st, err := streamsFor(ctx, sk, cfg, mix, opt)
-			if err != nil {
-				return sim.Result{}, err
+		if keys, ok := replayKeys(cfg, c, mix, opt); ok && streams.holdIfHeld(keys...) {
+			defer streams.release(keys...)
+			recs := make([]*sim.Recording, len(keys))
+			for i, k := range keys {
+				if recs[i], err = recordingFor(ctx, k, cfg); err != nil {
+					return sim.Result{}, err
+				}
 			}
-			return sim.Replay(cfg, c, st)
+			return sim.Replay(cfg, c, mix, opt.Accesses, opt.Seed, recs)
 		}
 		return sim.RunMix(cfg, func() core.Controller { return c }, mix, opt.Accesses, opt.Seed)
 	}))
@@ -222,8 +224,8 @@ func profileKeyFor(cfg sim.Config, mix workload.Mix, opt Options) profileKey {
 
 // profiles caches one functional profile per (config, mix, scale); a
 // Fig. 14-style sweep then pays one profiling pass for its six-plus
-// policies per mix. Like a recording, a profile a warm batch holds is
-// dropped after the batch's last run of its mix (streams.go).
+// policies per mix. Like a core recording, a profile a warm batch holds
+// is dropped after the batch's last run that reads it (streams.go).
 var profiles = newHeldMemo[profileKey, *sample.Profile]("profiles", "profile")
 
 // profileFor returns key's profile, building it on first use.

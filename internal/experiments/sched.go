@@ -45,7 +45,7 @@ type mixRun struct {
 // mixRunBatch lists one run per (mix, policy) pair under cfg, mix-
 // major. Compose batches across configurations with append before a
 // single warmRuns call, to maximise overlap and to let configurations
-// that differ only below the L2 share each mix's recording.
+// that differ only below the L2 share each core's recording.
 func mixRunBatch(cfg sim.Config, opt Options, mixes []workload.Mix, pols ...namedPolicy) []mixRun {
 	batch := make([]mixRun, 0, len(mixes)*len(pols))
 	for _, mix := range mixes {
@@ -64,18 +64,20 @@ func warmMixRuns(cfg sim.Config, opt Options, mixes []workload.Mix, pols ...name
 // warmRuns warms a batch of mix runs, skipping duplicates; opt gives
 // the worker count.
 //
-// The batch runs mix-major, one group of units per per-mix artifact
-// (streams.go): the functional profile that a mix's sampled runs read,
-// or the recording that its exact replayable runs replay. A group
+// The batch runs mix-major, one group of units per mix (streams.go):
+// its sampled runs read the mix's functional profile, and its exact
+// replayable runs replay the recordings of the mix's cores. A group
 // holds its artifact when building it pays: a profile for any sampled
-// run still to compute, a recording for two or more replayable ones
+// run still to compute, recordings for two or more replayable ones
 // (a group with fewer walks its runs directly, since recording costs
 // most of a direct run). Each group's build unit goes just before the
 // previous group's runs (the first group's leads the batch), so an
-// artifact is built while the workers run the group before it. Each of
-// the group's units drops its hold when it ends, and the last drops
-// the artifact, so resident artifacts stay bounded by the worker count
-// plus one.
+// artifact is built while the workers run the group before it; a core
+// recording that an earlier group already built is recalled. Each of
+// the group's units drops its holds when it ends, and a recording's
+// last holder drops it. Resident profiles therefore stay bounded by the
+// worker count plus one, and a core recording lives from the group
+// built ahead of its first reader to its last reader.
 func warmRuns(opt Options, runs []mixRun) {
 	if opt.workers() <= 1 {
 		return // warm is a no-op: the serial collection pass computes each run

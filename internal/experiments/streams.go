@@ -14,24 +14,28 @@ import (
 )
 
 // Per-mix artifacts. A policy comparison runs several controllers over
-// one mix, and the runs of a mix share one large artifact:
-//   - Exact runs share the mix's recorded private levels. On an exact,
-//     non-coherent run each core's L1/L2 history is the same under
-//     every controller but inclusive, so an exact warm batch records
-//     each mix once (sim.RecordMix) and replays every eligible run of
-//     the mix over the recording (sim.Replay), which gives the same
-//     Result as the direct walk. A quick 4-core recording is ~7 MB.
+// one mix, and the runs of a mix share large artifacts:
+//   - Exact runs share the recorded private levels of the mix's cores.
+//     On an exact, non-coherent run each core's L1/L2 history is the
+//     same under every controller but inclusive, and in every mix that
+//     runs its benchmark at its position, so an exact warm batch
+//     records each distinct core once (sim.RecordCore) and replays
+//     every eligible run over its mix's cores (sim.Replay), which gives
+//     the same Result as the direct walk. A quick per-core recording is
+//     ~1.7 MB.
 //   - Sampled runs share the mix's functional profile (memo.go), which
 //     is policy-independent. It holds up to 16 snapshots of the whole
 //     hierarchy, ~24 MB at the Table II geometry.
 //
 // An artifact lives in its memo only while a warm batch holds it: the
-// batch runs mix-major, builds each mix's artifact while the workers
-// run the previous mix and drops it after the mix's last run
-// (sched.go), so resident artifacts are bounded by the worker count,
-// not by the batch's mix count. Runs outside a warm batch, and every run with one
-// worker (the reference serial path), walk the private levels directly,
-// and the profiles they build stay until ResetMemo.
+// batch runs mix-major, builds each mix's artifacts while the workers
+// run the previous mix and drops each after the last run that reads it
+// (sched.go). A profile belongs to one mix, so resident profiles are
+// bounded by the worker count; a core recording shared by several mixes
+// stays from its first mix to its last. Runs outside a warm batch, and
+// every run with one worker (the reference serial path), walk the
+// private levels directly, and the profiles they build stay until
+// ResetMemo.
 
 // heldMemo is a singleflight memo of per-mix artifacts that warm
 // batches hold: a run that needs an artifact its build unit is still
@@ -59,28 +63,35 @@ func (m *heldMemo[K, V]) hold(key K, n int) {
 	m.mu.Unlock()
 }
 
-// holdIfHeld adds one holder of key if one already holds it.
-func (m *heldMemo[K, V]) holdIfHeld(key K) bool {
+// holdIfHeld adds one holder of each key if each already has one, and
+// none otherwise.
+func (m *heldMemo[K, V]) holdIfHeld(keys ...K) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.holds[key] == 0 {
-		return false
+	for _, k := range keys {
+		if m.holds[k] == 0 {
+			return false
+		}
 	}
-	m.holds[key]++
+	for _, k := range keys {
+		m.holds[k]++
+	}
 	return true
 }
 
-// release drops one holder of key and, with the last one, its
+// release drops one holder of each key and, with a key's last one, its
 // artifact.
-func (m *heldMemo[K, V]) release(key K) {
+func (m *heldMemo[K, V]) release(keys ...K) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.holds[key]--; m.holds[key] > 0 {
-		return
-	}
-	delete(m.holds, key)
-	if m.Forget(key) {
-		m.resident--
+	for _, k := range keys {
+		if m.holds[k]--; m.holds[k] > 0 {
+			continue
+		}
+		delete(m.holds, k)
+		if m.Forget(k) {
+			m.resident--
+		}
 	}
 }
 
@@ -126,7 +137,7 @@ func (m *heldMemo[K, V]) Register(r *obs.Registry, prefix string) {
 	}
 }
 
-// artifact is the per-mix artifact a warm-batch group shares (sched.go).
+// artifact is an artifact a warm-batch group shares (sched.go).
 type artifact interface {
 	// hold adds n holders.
 	hold(n int)
@@ -166,6 +177,39 @@ func (a heldArtifact[K, V]) build() {
 	a.get(ctx) // a failure resurfaces in the mix's runs
 }
 
+// artifacts is a group's artifact made of several: the recordings of a
+// mix's cores. Each is held and built on its own, so one that other
+// groups share is built once, by the first group's build unit, and
+// stays until its last reader ends.
+type artifacts []artifact
+
+func (as artifacts) hold(n int) {
+	for _, a := range as {
+		a.hold(n)
+	}
+}
+
+func (as artifacts) release() {
+	for _, a := range as {
+		a.release()
+	}
+}
+
+func (as artifacts) build() {
+	for _, a := range as {
+		a.build()
+	}
+}
+
+func (as artifacts) pays(n int) bool {
+	for _, a := range as {
+		if !a.pays(n) {
+			return false
+		}
+	}
+	return true
+}
+
 // groupKey names the group of a warm batch a run joins: its mix's
 // profile if it is sampled, its mix's recording key otherwise.
 type groupKey struct {
@@ -175,10 +219,10 @@ type groupKey struct {
 
 // artifactFor returns the group of a warm batch that a run of cfg
 // under c joins, and the artifact the run reads: the functional profile
-// of a sampled run, the recording of an exact replayable one, nil for a
-// run that walks its private levels directly. A recording pays from
-// two runs, since recording costs most of a direct run; a profile is
-// needed by any sampled run.
+// of a sampled run, the recordings of its mix's cores for an exact
+// replayable one, nil for a run that walks its private levels directly.
+// Recordings pay from two runs, since recording costs most of a direct
+// run; a profile is needed by any sampled run.
 func artifactFor(cfg sim.Config, c core.Controller, mix workload.Mix, opt Options) (groupKey, artifact) {
 	if cfg.SampleInterval > 0 {
 		key := profileKeyFor(cfg, mix, opt)
@@ -187,20 +231,25 @@ func artifactFor(cfg sim.Config, c core.Controller, mix workload.Mix, opt Option
 			get: func(ctx context.Context) (*sample.Profile, error) { return profileFor(ctx, key, cfg, mix, opt) },
 		}
 	}
-	key, ok := replayKey(cfg, c, mix, opt)
+	gk := groupKey{stream: streamKeyFor(cfg, mix, opt)}
+	keys, ok := replayKeys(cfg, c, mix, opt)
 	if !ok {
-		return groupKey{stream: key}, nil
+		return gk, nil
 	}
-	return groupKey{stream: key}, heldArtifact[streamKey, *sim.Streams]{
-		m: streams, key: key, mix: key.Mix, trace: opt.Trace, min: 2,
-		get: func(ctx context.Context) (*sim.Streams, error) { return streamsFor(ctx, key, cfg, mix, opt) },
+	arts := make(artifacts, len(keys))
+	for i, k := range keys {
+		arts[i] = heldArtifact[sim.CoreKey, *sim.Recording]{
+			m: streams, key: k, mix: gk.stream.Mix, trace: opt.Trace, min: 2,
+			get: func(ctx context.Context) (*sim.Recording, error) { return recordingFor(ctx, k, cfg) },
+		}
 	}
+	return gk, arts
 }
 
-// streamKey identifies one mix's recorded private-level history. It
-// holds only what the private levels depend on, so LLC-only variants
-// of a machine (technology, size, ways, replacement, hybrid) share one
-// recording.
+// streamKey identifies one mix's recorded private-level history, the
+// group of its exact runs. It holds only what the private levels
+// depend on, so LLC-only variants of a machine (technology, size, ways,
+// replacement, hybrid) share one group.
 type streamKey struct {
 	Priv     sim.PrivateKey
 	Mix      string
@@ -217,21 +266,26 @@ func streamKeyFor(cfg sim.Config, mix workload.Mix, opt Options) streamKey {
 	}
 }
 
-// streams is the stream memo. A run replays only from a recording a
-// batch holds, holding it too while it does.
-var streams = newHeldMemo[streamKey, *sim.Streams]("recordings", "record")
+// streams is the stream memo, one recording per distinct core. A run
+// replays only from recordings a batch holds, holding them too while it
+// does.
+var streams = newHeldMemo[sim.CoreKey, *sim.Recording]("per-core recordings", "record")
 
-// replayKey returns the recording an exact run would replay, and
-// whether it can: sim decides for the controller and configuration,
-// and the mix must fit the machine. Sampled sweeps never replay.
-func replayKey(cfg sim.Config, c core.Controller, mix workload.Mix, opt Options) (streamKey, bool) {
-	key := streamKeyFor(cfg, mix, opt)
-	return key, opt.SampleInterval == 0 && len(mix.Members) == cfg.Cores && sim.Replayable(cfg, c)
+// replayKeys returns the recordings an exact run would replay, one per
+// core, and whether it can: sim decides for the controller and
+// configuration, and the mix must fit the machine. Sampled sweeps never
+// replay.
+func replayKeys(cfg sim.Config, c core.Controller, mix workload.Mix, opt Options) ([]sim.CoreKey, bool) {
+	if opt.SampleInterval != 0 || !sim.Replayable(cfg, c) {
+		return nil, false
+	}
+	keys, err := cfg.CoreKeys(mix, opt.Accesses, opt.Seed)
+	return keys, err == nil
 }
 
-// streamsFor returns key's recording, recording it on first use.
-func streamsFor(ctx context.Context, key streamKey, cfg sim.Config, mix workload.Mix, opt Options) (*sim.Streams, error) {
-	return streams.get(ctx, key, func() (*sim.Streams, error) {
-		return sim.RecordMix(cfg, mix, opt.Accesses, opt.Seed)
+// recordingFor returns key's recording, recording it on first use.
+func recordingFor(ctx context.Context, key sim.CoreKey, cfg sim.Config) (*sim.Recording, error) {
+	return streams.get(ctx, key, func() (*sim.Recording, error) {
+		return sim.RecordCore(cfg, key)
 	})
 }

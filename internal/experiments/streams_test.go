@@ -12,16 +12,28 @@ import (
 // TestFig14RunsAndStreamBound regenerates Fig. 14 at the Quick mix
 // count (the ten Table III mixes and eight random ones) on two workers
 // from an empty memo, exact and sampled, at a shorter length: which
-// cells and per-mix artifacts a sweep makes does not depend on it.
+// cells and artifacts a sweep makes does not depend on it.
 //   - Each (mix, controller) cell computes once: 90 runs. Keying cells
 //     by display label computed exclusive twice on the random mixes
 //     ("ex" and "Exclusive"), 98 runs.
-//   - Each mix's artifact is built once: 18 recordings exact, 18
-//     profiles sampled (and no recording, since sampled runs never
-//     replay).
-//   - The artifacts resident at once stay bounded by the worker count,
-//     not by the 18 mixes, and none outlives the sweep.
+//   - Exact, each distinct core is recorded once: the 18 mixes run 72
+//     cores, of which 38 differ (one benchmark at one position is one
+//     core). Sampled, each mix's profile is built once: 18 profiles,
+//     and no recording, since sampled runs never replay.
+//   - Resident artifacts stay bounded, and none outlives the sweep. A
+//     profile belongs to one mix, so at most workers+1 are resident. A
+//     recording lives from the mix built ahead of its first reader to
+//     its last reader: residencyModel puts the peak at 21 of 38, and the
+//     bound allows one mix of scheduling lag per worker on either side.
 func TestFig14RunsAndStreamBound(t *testing.T) {
+	opt := Quick()
+	opt.Accesses = 5_000
+	opt.Jobs = 2
+	cfg := sim.DefaultConfig()
+	mixes := append(workload.TableIII(), workload.RandomMixes(opt.RandomMixes, cfg.Cores, opt.Seed)...)
+	model, distinct := residencyModel(t, cfg, opt, mixes, 0)
+	bound, _ := residencyModel(t, cfg, opt, mixes, opt.workers())
+	t.Logf("%d distinct cores; model peak %d, bound %d", distinct, model, bound)
 	for _, tc := range []struct {
 		name     string
 		interval uint64
@@ -29,14 +41,14 @@ func TestFig14RunsAndStreamBound(t *testing.T) {
 		idle     interface{ Stats() memocache.Stats }
 		peak     func() int
 		left     func() int
+		want     int // artifacts built
+		max      int // resident at once
 	}{
-		{"exact", 0, streams, profiles, streams.peakEntries, streams.Len},
-		{"sampled", 1000, profiles, streams, profiles.peakEntries, profiles.Len},
+		{"exact", 0, streams, profiles, streams.peakEntries, streams.Len, 38, bound},
+		{"sampled", 1000, profiles, streams, profiles.peakEntries, profiles.Len, 18, opt.workers() + 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			opt := Quick()
-			opt.Accesses = 5_000
-			opt.Jobs = 2
+			opt := opt
 			opt.SampleInterval = tc.interval
 			ResetMemo()
 			runs, built, idle := Stats(), tc.built.Stats(), tc.idle.Stats()
@@ -44,21 +56,56 @@ func TestFig14RunsAndStreamBound(t *testing.T) {
 			if got := Stats().Computed - runs.Computed; got != 90 {
 				t.Errorf("Fig. 14 computed %d runs, want 90", got)
 			}
-			if got := tc.built.Stats().Computed - built.Computed; got != 18 {
-				t.Errorf("Fig. 14 built %d per-mix artifacts, want 18", got)
+			if got := tc.built.Stats().Computed - built.Computed; got != uint64(tc.want) {
+				t.Errorf("Fig. 14 built %d artifacts, want %d", got, tc.want)
 			}
 			if got := tc.idle.Stats().Computed - idle.Computed; got != 0 {
 				t.Errorf("Fig. 14 built %d artifacts of the other kind, want 0", got)
 			}
-			if peak := tc.peak(); peak < 1 || peak > opt.workers()+1 {
-				t.Errorf("up to %d artifacts resident at once on %d workers, want 1..%d",
-					peak, opt.workers(), opt.workers()+1)
+			peak := tc.peak()
+			t.Logf("peak %d resident", peak)
+			if peak < 1 || peak > tc.max {
+				t.Errorf("up to %d artifacts resident at once on %d workers, want 1..%d", peak, opt.workers(), tc.max)
 			}
 			if n := tc.left(); n != 0 {
 				t.Errorf("%d artifacts outlived the sweep", n)
 			}
 		})
 	}
+	if distinct != 38 {
+		t.Errorf("Fig. 14's mixes run %d distinct cores, want 38", distinct)
+	}
+}
+
+// residencyModel returns the peak of a first-to-last-use model of the
+// per-core recordings that a mix-major batch over mixes reads, and the
+// number of distinct cores: a recording is resident from the mix before
+// the first that reads it (it is built while that mix runs) to the last
+// one, widened by slack mixes on either side.
+func residencyModel(t *testing.T, cfg sim.Config, opt Options, mixes []workload.Mix, slack int) (peak, distinct int) {
+	first, last := map[sim.CoreKey]int{}, map[sim.CoreKey]int{}
+	for i, mix := range mixes {
+		keys, err := cfg.CoreKeys(mix, opt.Accesses, opt.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range keys {
+			if _, ok := first[k]; !ok {
+				first[k] = i
+			}
+			last[k] = i
+		}
+	}
+	for i := range mixes {
+		n := 0
+		for k, f := range first {
+			if f-1-slack <= i && i <= last[k]+slack {
+				n++
+			}
+		}
+		peak = max(peak, n)
+	}
+	return peak, len(first)
 }
 
 // TestWarmReplayMatchesSerial runs one warm batch that replays and
@@ -74,11 +121,15 @@ func TestWarmReplayMatchesSerial(t *testing.T) {
 		namedPolicy{"LAP+DWB", registered("LAP+DWB", stt.PolicyParams(opt.DuelPeriod))})
 	batch := append(mixRunBatch(stt, opt, mixes, pols...), mixRunBatch(sram, opt, mixes, pols...)...)
 
+	_, cores := residencyModel(t, stt, opt, mixes, 0)
 	ResetMemo()
 	recs := streams.Stats()
 	warmRuns(opt, batch)
-	if got := streams.Stats().Computed - recs.Computed; got != uint64(len(mixes)) {
-		t.Errorf("the batch recorded %d times for %d mixes", got, len(mixes))
+	if got := streams.Stats().Computed - recs.Computed; got != uint64(cores) {
+		t.Errorf("the batch made %d per-core recordings for the %d distinct cores of %d mixes", got, cores, len(mixes))
+	}
+	if n := streams.Len(); n != 0 {
+		t.Errorf("%d per-core recordings outlived the batch", n)
 	}
 	replayed := map[memoKey]sim.Result{}
 	for _, r := range batch {

@@ -35,26 +35,47 @@ func allocMachine(ctrl core.Controller, b workload.Benchmark, hybrid bool) (*mac
 
 // allocReplayMachine is allocMachine for the replay path: a machine
 // warmed by replaying 40000 recorded accesses per core, whose core 0
-// has extra accesses left in its stream.
-func allocReplayMachine(ctrl core.Controller, b workload.Benchmark, hybrid bool, extra uint64) (*machine, *coreState) {
+// stands at an access that issues LLC operations with more than steps
+// such accesses left in its recording.
+func allocReplayMachine(ctrl core.Controller, b workload.Benchmark, hybrid bool, steps int) (*machine, *coreState) {
 	cfg := smallCfg()
 	if hybrid {
 		cfg = cfg.WithHybridL3()
 	}
-	st, err := record(cfg, sourcesFor(b, cfg.Cores, 40000+extra), 40000+extra)
-	if err != nil {
-		panic(err)
+	const warmed = 40000
+	recs := make([]*Recording, cfg.Cores)
+	for extra := uint64(4 * steps); ; extra *= 2 {
+		n := warmed + extra
+		for i, src := range sourcesFor(b, cfg.Cores, n) {
+			var err error
+			key := CoreKey{Priv: cfg.PrivateKey(), Bench: b.Name, Pos: i, Accesses: n}
+			if recs[i], err = record(cfg, key, src); err != nil {
+				panic(err)
+			}
+		}
+		if llcAccesses(recs[0].acc[warmed:]) > steps {
+			break
+		}
 	}
 	warm := cfg
-	warm.MaxAccessesPerCore = 40000
-	m := build(warm, ctrl, make([]trace.Source, cfg.Cores))
-	for i, c := range m.cores {
-		c.rp = newReplayCursor(&st.cores[i])
-	}
-	m.loop()
+	warm.MaxAccessesPerCore = warmed
+	m := newReplayMachine(warm, ctrl, recs)
+	m.replayLoop()
 	c := m.cores[0]
-	c.done = false
+	c.rp.end, c.done = len(recs[0].acc), false
+	m.runAhead(c)
 	return m, c
+}
+
+// llcAccesses counts the recorded accesses that issue LLC operations.
+func llcAccesses(acc []uint32) int {
+	n := 0
+	for _, a := range acc {
+		if a>>accOpsShift != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func allocControllers() map[string]func() core.Controller {
@@ -85,11 +106,12 @@ func TestAccessAllocsZero(t *testing.T) {
 			}
 		})
 		t.Run(name+"/replay", func(t *testing.T) {
-			m, c := allocReplayMachine(mk(), loopy(), name == "Lhybrid", 4096)
+			m, c := allocReplayMachine(mk(), loopy(), name == "Lhybrid", 2001)
 			got := testing.AllocsPerRun(2000, func() {
-				if !m.replayStep(c) {
-					t.Fatal("recorded stream ended early")
+				if c.done {
+					t.Fatal("recording ended early")
 				}
+				m.replayStep(c)
 			})
 			if got != 0 {
 				t.Fatalf("%s replayed access allocates %.2f times per access, want 0", name, got)
@@ -132,14 +154,15 @@ func BenchmarkAccessAllocs(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessAllocsReplay reports ns/op and allocs/op for a single
-// steady-state replayed access under every allocControllers controller.
-// The sub-benchmark names keep the prefix the CI alloc gate greps, so
-// their allocs/op must be exactly 0 too.
+// BenchmarkAccessAllocsReplay reports ns/op and allocs/op for one
+// steady-state replay step (an access that issues LLC operations, then
+// the private-only accesses up to the next one) under every
+// allocControllers controller. The sub-benchmark names keep the prefix
+// the CI alloc gate greps, so their allocs/op must be exactly 0 too.
 func BenchmarkAccessAllocsReplay(b *testing.B) {
 	for name, mk := range allocControllers() {
 		b.Run(name, func(b *testing.B) {
-			m, c := allocReplayMachine(mk(), loopy(), name == "Lhybrid", uint64(b.N))
+			m, c := allocReplayMachine(mk(), loopy(), name == "Lhybrid", b.N)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -128,6 +128,65 @@ func TestPrivateLevelsPolicyIndependent(t *testing.T) {
 	}
 }
 
+// TestPrivateLevelsMixIndependent checks the property per-core
+// recordings rest on: a core's L1/L2 history depends on its benchmark,
+// its position, the length and the seed, not on the mix's other members
+// or on the machine's core count. A Table III mix and a random mix that
+// share some cores end with the same private levels in those cores and
+// different ones in the others, and a two-core machine running the
+// mix's first two members ends with the mix's first two cores.
+func TestPrivateLevelsMixIndependent(t *testing.T) {
+	const accesses = 8_000
+	cfg := shrunkConfig()
+	walk := func(cfg Config, mix workload.Mix) []privateState {
+		srcs, err := mixSources(cfg, mix, accesses, 2016)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := build(cfg, core.NewLAP(), srcs)
+		m.loop()
+		return capturePrivate(m)
+	}
+	same := func(a, b privateState) bool {
+		return reflect.DeepEqual(a.L1, b.L1) && reflect.DeepEqual(a.L2, b.L2) &&
+			reflect.DeepEqual(a.L1Rank, b.L1Rank) && reflect.DeepEqual(a.L2Rank, b.L2Rank)
+	}
+	wl1 := workload.TableIII()[0]
+	ref := walk(cfg, wl1)
+	shared := 0
+	for _, mix := range workload.RandomMixes(8, cfg.Cores, 2016) {
+		var got []privateState
+		for p, bench := range mix.Members {
+			if bench == wl1.Members[p] {
+				got = walk(cfg, mix)
+				break
+			}
+		}
+		for p := range got {
+			switch {
+			case mix.Members[p] == wl1.Members[p]:
+				shared++
+				if !same(got[p], ref[p]) {
+					t.Errorf("%s core %d (%s): private levels differ from %s's", mix.Name, p, mix.Members[p], wl1.Name)
+				}
+			case same(got[p], ref[p]):
+				t.Errorf("%s core %d runs %s, not %s, yet ends with the same private levels", mix.Name, p, mix.Members[p], wl1.Members[p])
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatalf("no random mix shares a core with %s; the test compares nothing", wl1.Name)
+	}
+	pair := cfg
+	pair.Cores = 2
+	two := walk(pair, workload.Mix{Name: "pair", Members: wl1.Members[:2]})
+	for p := range two {
+		if !same(two[p], ref[p]) {
+			t.Errorf("core %d on a two-core machine: private levels differ from the four-core machine's", p)
+		}
+	}
+}
+
 // firstPrivateDiff names the first field where two captures differ.
 func firstPrivateDiff(a, b []privateState) string {
 	for i := range a {

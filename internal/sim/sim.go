@@ -111,9 +111,8 @@ type coreState struct {
 	bufPos int
 	srcEOF bool
 
-	// rp, when set, replaces the source and the L1/L2 walk: the core
-	// takes its accesses and their LLC operations from a recording
-	// (replay.go).
+	// rp is a replayed core's position in its recording (replay.go).
+	// A replayed core has no source and no L1/L2.
 	rp *replayCursor
 
 	// worker/gateKey/gateHeld belong to the banked execution mode: the
@@ -220,6 +219,29 @@ func RunObserved(cfg Config, ctrl core.Controller, srcs []trace.Source, tel *Tel
 }
 
 func build(cfg Config, ctrl core.Controller, srcs []trace.Source) *machine {
+	m := newMachine(cfg, ctrl)
+	for i := 0; i < cfg.Cores; i++ {
+		m.cores = append(m.cores, m.newCore(i, srcs[i]))
+	}
+	if cfg.Coherent {
+		peers := make([]coherence.Peer, len(m.cores))
+		for i, c := range m.cores {
+			peers[i] = (*corePeer)(c)
+		}
+		m.bus = coherence.NewBus(peers)
+		if cfg.TrackMOESI {
+			m.moesi = coherence.NewDirectory(cfg.Cores)
+		}
+	}
+	if backInvalidates(ctrl) {
+		m.ctx.BackInvalidate = m.backInvalidate
+	}
+	return m
+}
+
+// newMachine builds the shared part of a machine, without cores: the
+// LLC, its energy meter and bank model, the MSHR table and the DRAM.
+func newMachine(cfg Config, ctrl core.Controller) *machine {
 	l3 := cache.New(cache.Config{
 		Name: "L3", SizeBytes: cfg.L3SizeBytes, Ways: cfg.L3Ways,
 		BlockBytes: cfg.BlockBytes, SRAMWays: cfg.L3SRAMWays,
@@ -277,32 +299,22 @@ func build(cfg Config, ctrl core.Controller, srcs []trace.Source) *machine {
 			return m.mem.Access(block*blockBytes, now, write)
 		}
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		m.cores = append(m.cores, &coreState{
-			id: i,
-			l1: cache.New(cache.Config{Name: "L1", SizeBytes: cfg.L1SizeBytes,
-				Ways: cfg.L1Ways, BlockBytes: cfg.BlockBytes}),
-			l2: cache.New(cache.Config{Name: "L2", SizeBytes: cfg.L2SizeBytes,
-				Ways: cfg.L2Ways, BlockBytes: cfg.BlockBytes}),
-			src: srcs[i],
-			met: ctx.Met,
-			buf: make([]trace.Access, 0, accessBatch),
-		})
-	}
-	if cfg.Coherent {
-		peers := make([]coherence.Peer, len(m.cores))
-		for i, c := range m.cores {
-			peers[i] = (*corePeer)(c)
-		}
-		m.bus = coherence.NewBus(peers)
-		if cfg.TrackMOESI {
-			m.moesi = coherence.NewDirectory(cfg.Cores)
-		}
-	}
-	if backInvalidates(ctrl) {
-		ctx.BackInvalidate = m.backInvalidate
-	}
 	return m
+}
+
+// newCore builds core i's private levels over src.
+func (m *machine) newCore(i int, src trace.Source) *coreState {
+	cfg := &m.cfg
+	return &coreState{
+		id: i,
+		l1: cache.New(cache.Config{Name: "L1", SizeBytes: cfg.L1SizeBytes,
+			Ways: cfg.L1Ways, BlockBytes: cfg.BlockBytes}),
+		l2: cache.New(cache.Config{Name: "L2", SizeBytes: cfg.L2SizeBytes,
+			Ways: cfg.L2Ways, BlockBytes: cfg.BlockBytes}),
+		src: src,
+		met: m.ctx.Met,
+		buf: make([]trace.Access, 0, accessBatch),
+	}
 }
 
 // backInvalidates reports whether ctrl reaches into the private levels:
@@ -367,19 +379,12 @@ func (m *machine) serialLoop(stopAfterWarmup bool) {
 		if next == nil {
 			return
 		}
-		if next.rp != nil {
-			if !m.replayStep(next) {
-				next.done = true
-				continue
-			}
-		} else {
-			acc, ok := next.next()
-			if !ok {
-				next.done = true
-				continue
-			}
-			m.step(next, acc)
+		acc, ok := next.next()
+		if !ok {
+			next.done = true
+			continue
 		}
+		m.step(next, acc)
 		next.nAcc++
 		if m.tel != nil {
 			m.telTick()
@@ -685,19 +690,9 @@ func (m *machine) busWrite(c *coreState, block uint64) {
 
 // fillL1 installs a block into the L1, writing back the victim into the
 // L2 (allocating there if needed, since the L2 is non-inclusive of L1).
+// The L1 must not hold the block: every caller has just missed in it,
+// and nothing in between adds the block.
 func (m *machine) fillL1(c *coreState, block uint64, write, shared bool) {
-	if w := c.l1.Probe(block); w >= 0 {
-		set := c.l1.SetOf(block)
-		l := c.l1.Meta(set, w)
-		if write {
-			l.SetDirty(true)
-		}
-		if shared {
-			l.SetShared(true)
-		}
-		c.l1.Touch(set, w)
-		return
-	}
 	set := c.l1.SetOf(block)
 	way := c.l1.LRUVictim(set)
 	if v, ok := c.l1.Evict(set, way); ok && v.Dirty {
@@ -722,21 +717,9 @@ func (m *machine) writebackL1Victim(c *coreState, v cache.Line) {
 }
 
 // installL2 places a block into the L2, handing the victim to the
-// inclusion controller.
+// inclusion controller. The L2 must not hold the block: every caller
+// has just missed in it, and nothing in between adds the block.
 func (m *machine) installL2(c *coreState, block uint64, dirty, loop, shared bool) {
-	if w := c.l2.Probe(block); w >= 0 {
-		set := c.l2.SetOf(block)
-		l := c.l2.Meta(set, w)
-		if dirty {
-			l.SetDirty(true)
-		}
-		l.SetLoop(loop)
-		if shared {
-			l.SetShared(true)
-		}
-		c.l2.Touch(set, w)
-		return
-	}
 	set := c.l2.SetOf(block)
 	way := c.l2.LRUVictim(set)
 	if v, ok := c.l2.Evict(set, way); ok {

@@ -27,10 +27,17 @@ func MixSources(mix workload.Mix, accesses uint64, seed uint64) ([]trace.Source,
 	}
 	srcs := make([]trace.Source, len(benches))
 	for i, b := range benches {
-		gen := workload.New(b, seed+uint64(i)*0x51ed2701)
-		srcs[i] = trace.Limit(trace.WithOffset(gen, uint64(i+1)<<coreSpaceShift), accesses)
+		srcs[i] = coreSource(b, i, accesses, seed)
 	}
 	return srcs, nil
+}
+
+// coreSource is the source of the core at position pos of a mix: it
+// depends on the benchmark, the position, the length and the seed, and
+// on nothing else of the mix.
+func coreSource(b workload.Benchmark, pos int, accesses, seed uint64) trace.Source {
+	gen := workload.New(b, seed+uint64(pos)*0x51ed2701)
+	return trace.Limit(trace.WithOffset(gen, uint64(pos+1)<<coreSpaceShift), accesses)
 }
 
 // ThreadSources builds bounded per-thread sources for a multi-threaded
