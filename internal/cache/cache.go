@@ -392,13 +392,8 @@ func (c *Cache) Restore(s *State) {
 	c.fills, c.Hits, c.Misses = s.fills, s.hits, s.misses
 }
 
-// invalidIn returns the lowest invalid way in [lo, hi), or -1. A full
-// cache has none, so it skips the scan: private caches fill within a
-// few thousand accesses and stay full.
+// invalidIn returns the lowest invalid way in [lo, hi), or -1.
 func (c *Cache) invalidIn(set, lo, hi int) int {
-	if c.fills == len(c.lines) {
-		return -1
-	}
 	base := set * c.ways
 	for w, l := range c.lines[base+lo : base+hi] {
 		if !l.valid() {

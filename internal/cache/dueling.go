@@ -18,12 +18,13 @@ const (
 	Follower
 )
 
+// leaderStride is the leader-set spacing: set s is a LeaderA when
+// s%leaderStride == 0 and a LeaderB when s%leaderStride == 1, the
+// paper's 1/64 dedication. A power of two, so RoleOf masks.
+const leaderStride = 64
+
 // Duel arbitrates between two policies via set-dueling.
 type Duel struct {
-	// Stride is the leader-set spacing: set s is a LeaderA when
-	// s%Stride == 0 and a LeaderB when s%Stride == 1. The paper's 1/64
-	// dedication corresponds to Stride == 64.
-	Stride int
 	// PeriodCycles is the observation-window length (10M in the paper).
 	PeriodCycles uint64
 
@@ -35,19 +36,12 @@ type Duel struct {
 // NewDuel returns a duel with the paper's parameters: 1/64 leader sets per
 // policy and a 10M-cycle window, with policy A winning initially.
 func NewDuel() *Duel {
-	return &Duel{Stride: 64, PeriodCycles: 10_000_000, winner: LeaderA}
+	return &Duel{PeriodCycles: 10_000_000, winner: LeaderA}
 }
 
-// RoleOf classifies a set index. Every controller calls it on each LLC
-// operation, so a power-of-two stride is a mask rather than a division.
+// RoleOf classifies a set index.
 func (d *Duel) RoleOf(set int) Role {
-	r, s := 0, d.Stride
-	if s > 0 && s&(s-1) == 0 {
-		r = set & (s - 1)
-	} else {
-		r = set % s
-	}
-	switch r {
+	switch set & (leaderStride - 1) {
 	case 0:
 		return LeaderA
 	case 1:

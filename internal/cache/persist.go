@@ -180,8 +180,8 @@ func (s *State) checkSets(valid []uint64, ways int) error {
 }
 
 // DuelState is the mutable portion of a set-dueling monitor, exported
-// so checkpoints can round-trip it (Stride and PeriodCycles are
-// configuration, rebuilt from the controller constructor).
+// so checkpoints can round-trip it (PeriodCycles is configuration,
+// rebuilt from the controller constructor).
 type DuelState struct {
 	CostA, CostB float64
 	NextFlip     uint64

@@ -103,11 +103,12 @@ func cellFor(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options)
 // runE executes (or recalls) one simulation, with the run's failure
 // domain contained to its own memo cell: a panicking simulation becomes
 // a typed *pool.RunError, a configuration error propagates as-is, and
-// either way nothing is cached (a retry recomputes). An exact run whose
-// cores' private levels a warm batch holds recorded replays them
-// (streams.go); every other run walks them directly. A sampled run holds
-// its mix's profile while a warm batch does.
-func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options) (sim.Result, error) {
+// either way nothing is cached (a retry recomputes). An exact run given
+// the recordings recs of its cores replays them if a warm batch holds
+// them all (streams.go); every other run walks its private levels
+// directly. A sampled run holds its mix's profile while a warm batch
+// does.
+func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options, recs []recKey) (sim.Result, error) {
 	cfg, c, key := cellFor(cfg, ctrl, mix, opt)
 	cell := key.Mix + "|" + key.Policy
 	ctx, sp := cellSpan(opt, cell)
@@ -145,15 +146,15 @@ func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options) (s
 				return sim.MixSources(mix, opt.Accesses, opt.Seed)
 			})
 		}
-		if keys, ok := replayKeys(cfg, c, mix, opt); ok && streams.holdIfHeld(keys...) {
-			defer streams.release(keys...)
-			recs := make([]*sim.Recording, len(keys))
-			for i, k := range keys {
-				if recs[i], err = recordingFor(ctx, k, cfg); err != nil {
+		if len(recs) > 0 && streams.holdIfHeld(recs...) {
+			defer streams.release(recs...)
+			cores := make([]*sim.Recording, len(recs))
+			for i, k := range recs {
+				if cores[i], err = recordingFor(ctx, k, cfg); err != nil {
 					return sim.Result{}, err
 				}
 			}
-			return sim.Replay(cfg, c, mix, opt.Accesses, opt.Seed, recs)
+			return sim.Replay(cfg, c, mix, opt.Accesses, opt.Seed, cores)
 		}
 		return sim.RunMix(cfg, func() core.Controller { return c }, mix, opt.Accesses, opt.Seed)
 	}))
@@ -278,7 +279,13 @@ func cellSpan(opt Options, cell string) (context.Context, *otrace.Span) {
 // where a failing run is a bug: it panics with the cell label so the
 // per-artifact containment in cmd/lapexp can report which run died.
 func run(cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.Mix, opt Options) sim.Result {
-	res, err := runE(cfg, ctrl, mix, opt)
+	return runFrom(nil, cfg, policyName, ctrl, mix, opt)
+}
+
+// runFrom is run for a warm-batch unit that may replay the recordings
+// recs (nil for none).
+func runFrom(recs []recKey, cfg sim.Config, policyName string, ctrl sim.Controller, mix workload.Mix, opt Options) sim.Result {
+	res, err := runE(cfg, ctrl, mix, opt, recs)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: run %s[%s]|%s: %v",
 			mix.Name, strings.Join(mix.Members, ","), policyName, err))

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"slices"
+
 	"repro/internal/pool"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -76,16 +78,17 @@ func warmMixRuns(cfg sim.Config, opt Options, mixes []workload.Mix, pols ...name
 // recording that an earlier group already built is recalled. Each of
 // the group's units drops its holds when it ends, and a recording's
 // last holder drops it. Resident profiles therefore stay bounded by the
-// worker count plus one, and a core recording lives from the group
-// built ahead of its first reader to its last reader.
+// worker count plus one; planRecordings bounds the recordings.
 func warmRuns(opt Options, runs []mixRun) {
 	if opt.workers() <= 1 {
 		return // warm is a no-op: the serial collection pass computes each run
 	}
 	type group struct {
 		runs    []mixRun
-		art     artifact // the artifact of a run still to compute
-		compute int      // the group's runs that read art, still to compute
+		reads   []bool      // whether each run reads the group's artifact
+		art     artifact    // the artifact of a run still to compute
+		compute int         // the group's runs that read art, still to compute
+		recs    *recordings // art if the group holds recordings
 	}
 	var groups []*group
 	byKey := map[groupKey]*group{}
@@ -104,17 +107,29 @@ func warmRuns(opt Options, runs []mixRun) {
 			groups = append(groups, g)
 		}
 		g.runs = append(g.runs, r)
+		g.reads = append(g.reads, art != nil)
 		if art != nil && !memo.Contains(key) {
 			g.art = art
 			g.compute++
 		}
 	}
-	held := func(g *group) bool { return g.art != nil && g.art.pays(g.compute) }
+	cores := make([][]recKey, len(groups))
+	for i, g := range groups {
+		if g.art != nil && g.art.pays(g.compute) {
+			g.recs, _ = g.art.(*recordings)
+		} else {
+			g.art = nil
+		}
+		if g.recs != nil {
+			cores[i] = g.recs.keys
+		}
+	}
+	planRecordings(cores, opt.workers())
 	var batch []func()
 	// Holds are taken before any unit runs, so a build unit never finds
 	// its group unheld.
 	buildAhead := func(i int) {
-		if i < len(groups) && held(groups[i]) {
+		if i < len(groups) && groups[i].art != nil {
 			g := groups[i]
 			g.art.hold(len(g.runs))
 			batch = append(batch, g.art.build)
@@ -123,10 +138,14 @@ func warmRuns(opt Options, runs []mixRun) {
 	buildAhead(0)
 	for i, g := range groups {
 		buildAhead(i + 1)
-		for _, r := range g.runs {
-			u := func() { run(r.cfg, r.pol.Name, r.pol.New, r.mix, r.opt) }
-			if held(g) {
-				art, run := g.art, u
+		for j, r := range g.runs {
+			var recs []recKey
+			if g.recs != nil && g.reads[j] {
+				recs = g.recs.keys
+			}
+			u := func() { runFrom(recs, r.cfg, r.pol.Name, r.pol.New, r.mix, r.opt) }
+			if art := g.art; art != nil {
+				run := u
 				u = func() {
 					defer art.release()
 					run()
@@ -136,6 +155,90 @@ func warmRuns(opt Options, runs []mixRun) {
 		}
 	}
 	warm(opt, batch)
+}
+
+// planRecordings numbers the per-core recordings a warm batch makes,
+// setting the Gen of each key in cores, where cores[i] lists the cores
+// group i of the batch replays (nil for none). A recording is resident
+// from the build of its first reader's group, which runs alongside the
+// group before it, to its last reader. A core that several groups read
+// is recorded once and kept between them, as long as at most
+// (workers+3)·width recordings are resident, width being the most cores
+// a group reads: the workers+1 mixes in flight, as many as when a batch
+// held whole-mix recordings, plus two mixes' worth kept for later
+// readers. Where more would be, the kept recordings whose next reader
+// is farthest are dropped after their last reader so far, and that next
+// reader's group records the core again (Belady's eviction rule). It
+// returns the number of recordings and the peak resident under this
+// model; a worker running behind can hold a few more for a while.
+func planRecordings(cores [][]recKey, workers int) (n, peak int) {
+	width := 0
+	for _, ks := range cores {
+		width = max(width, len(ks))
+	}
+	limit := (workers + 3) * width
+	// next[i][j] is the first group after i to read cores[i][j], or
+	// len(cores).
+	next := make([][]int, len(cores))
+	seen := map[sim.CoreKey]int{}
+	for i := len(cores) - 1; i >= 0; i-- {
+		next[i] = make([]int, len(cores[i]))
+		for j, k := range cores[i] {
+			if at, ok := seen[k.Core]; ok {
+				next[i][j] = at
+			} else {
+				next[i][j] = len(cores)
+			}
+			seen[k.Core] = i
+		}
+	}
+	type resident struct {
+		core       sim.CoreKey
+		gen        int
+		last, next int // its latest reader so far and the one after
+	}
+	var live []resident // in the order they were recorded
+	gens := map[sim.CoreKey]int{}
+	// read gives group i's cores their recordings as its build unit
+	// runs.
+	read := func(i int) {
+		for j := range cores[i] {
+			k := &cores[i][j]
+			r := slices.IndexFunc(live, func(r resident) bool { return r.core == k.Core })
+			if r < 0 {
+				r = len(live)
+				live = append(live, resident{core: k.Core, gen: gens[k.Core]})
+				gens[k.Core]++
+				n++
+			}
+			k.Gen = live[r].gen
+			live[r].last, live[r].next = i, next[i][j]
+		}
+	}
+	if len(cores) > 0 {
+		read(0)
+	}
+	for t := range cores {
+		// Group t runs while group t+1 is built.
+		if t+1 < len(cores) {
+			read(t + 1)
+		}
+		for len(live) > limit {
+			far := -1
+			for r, res := range live {
+				if res.last < t && (far < 0 || res.next > live[far].next) {
+					far = r
+				}
+			}
+			if far < 0 {
+				break
+			}
+			live = slices.Delete(live, far, far+1)
+		}
+		peak = max(peak, len(live))
+		live = slices.DeleteFunc(live, func(r resident) bool { return r.next == len(cores) && r.last <= t })
+	}
+	return n, peak
 }
 
 // threadedRunBatch builds the warm batch for coherent multi-threaded

@@ -19,9 +19,9 @@ import (
 //     On an exact, non-coherent run each core's L1/L2 history is the
 //     same under every controller but inclusive, and in every mix that
 //     runs its benchmark at its position, so an exact warm batch
-//     records each distinct core once (sim.RecordCore) and replays
-//     every eligible run over its mix's cores (sim.Replay), which gives
-//     the same Result as the direct walk. A quick per-core recording is
+//     records each distinct core (sim.RecordCore) and replays every
+//     eligible run over its mix's cores (sim.Replay), which gives the
+//     same Result as the direct walk. A quick per-core recording is
 //     ~1.7 MB.
 //   - Sampled runs share the mix's functional profile (memo.go), which
 //     is policy-independent. It holds up to 16 snapshots of the whole
@@ -32,10 +32,11 @@ import (
 // run the previous mix and drops each after the last run that reads it
 // (sched.go). A profile belongs to one mix, so resident profiles are
 // bounded by the worker count; a core recording shared by several mixes
-// stays from its first mix to its last. Runs outside a warm batch, and
-// every run with one worker (the reference serial path), walk the
-// private levels directly, and the profiles they build stay until
-// ResetMemo.
+// stays from its first mix to its last unless that would keep too many
+// resident, and then is recorded again (planRecordings). Runs outside
+// a warm batch, and every run with one worker (the reference serial
+// path), walk the private levels directly, and the profiles they build
+// stay until ResetMemo.
 
 // heldMemo is a singleflight memo of per-mix artifacts that warm
 // batches hold: a run that needs an artifact its build unit is still
@@ -159,13 +160,11 @@ type heldArtifact[K comparable, V any] struct {
 	mix   string
 	trace *otrace.Tracer
 	get   func(context.Context) (V, error)
-	// min is the number of runs to compute from which building pays.
-	min int
 }
 
 func (a heldArtifact[K, V]) hold(n int)      { a.m.hold(a.key, n) }
 func (a heldArtifact[K, V]) release()        { a.m.release(a.key) }
-func (a heldArtifact[K, V]) pays(n int) bool { return n >= a.min }
+func (a heldArtifact[K, V]) pays(n int) bool { return n > 0 }
 
 func (a heldArtifact[K, V]) build() {
 	if !a.m.holdIfHeld(a.key) {
@@ -177,38 +176,48 @@ func (a heldArtifact[K, V]) build() {
 	a.get(ctx) // a failure resurfaces in the mix's runs
 }
 
-// artifacts is a group's artifact made of several: the recordings of a
-// mix's cores. Each is held and built on its own, so one that other
-// groups share is built once, by the first group's build unit, and
-// stays until its last reader ends.
-type artifacts []artifact
+// recKey names one recording in the stream memo: a core, and which of
+// a warm batch's recordings of it this is. A batch that would keep a
+// core resident across too many mixes records it again for its later
+// readers instead (planRecordings, sched.go), and each recording is a
+// memo entry of its own.
+type recKey struct {
+	Core sim.CoreKey
+	Gen  int
+}
 
-func (as artifacts) hold(n int) {
-	for _, a := range as {
-		a.hold(n)
+// recordings is a group's artifact for its exact replayable runs: the
+// recordings of its mix's cores. Each is held and built on its own, so
+// one that other groups share is built once, by the first group's build
+// unit, and stays until its last reader ends. The batch's plan sets the
+// keys' Gen before any hold is taken.
+type recordings struct {
+	keys  []recKey
+	cfg   sim.Config
+	mix   string
+	trace *otrace.Tracer
+}
+
+func (r *recordings) hold(n int) {
+	for _, k := range r.keys {
+		streams.hold(k, n)
 	}
 }
 
-func (as artifacts) release() {
-	for _, a := range as {
-		a.release()
+func (r *recordings) release() { streams.release(r.keys...) }
+
+func (r *recordings) build() {
+	for _, k := range r.keys {
+		heldArtifact[recKey, *sim.Recording]{
+			m: streams, key: k, mix: r.mix, trace: r.trace,
+			get: func(ctx context.Context) (*sim.Recording, error) { return recordingFor(ctx, k, r.cfg) },
+		}.build()
 	}
 }
 
-func (as artifacts) build() {
-	for _, a := range as {
-		a.build()
-	}
-}
-
-func (as artifacts) pays(n int) bool {
-	for _, a := range as {
-		if !a.pays(n) {
-			return false
-		}
-	}
-	return true
-}
+// pays reports whether recording pays: from two runs, since recording
+// costs most of a direct run.
+func (r *recordings) pays(n int) bool { return n >= 2 }
 
 // groupKey names the group of a warm batch a run joins: its mix's
 // profile if it is sampled, its mix's recording key otherwise.
@@ -219,15 +228,14 @@ type groupKey struct {
 
 // artifactFor returns the group of a warm batch that a run of cfg
 // under c joins, and the artifact the run reads: the functional profile
-// of a sampled run, the recordings of its mix's cores for an exact
-// replayable one, nil for a run that walks its private levels directly.
-// Recordings pay from two runs, since recording costs most of a direct
-// run; a profile is needed by any sampled run.
+// of a sampled run (needed by any sampled run), the recordings of its
+// mix's cores for an exact replayable one, nil for a run that walks its
+// private levels directly.
 func artifactFor(cfg sim.Config, c core.Controller, mix workload.Mix, opt Options) (groupKey, artifact) {
 	if cfg.SampleInterval > 0 {
 		key := profileKeyFor(cfg, mix, opt)
 		return groupKey{profile: key}, heldArtifact[profileKey, *sample.Profile]{
-			m: profiles, key: key, mix: key.Mix, trace: opt.Trace, min: 1,
+			m: profiles, key: key, mix: key.Mix, trace: opt.Trace,
 			get: func(ctx context.Context) (*sample.Profile, error) { return profileFor(ctx, key, cfg, mix, opt) },
 		}
 	}
@@ -236,14 +244,11 @@ func artifactFor(cfg sim.Config, c core.Controller, mix workload.Mix, opt Option
 	if !ok {
 		return gk, nil
 	}
-	arts := make(artifacts, len(keys))
+	recs := &recordings{keys: make([]recKey, len(keys)), cfg: cfg, mix: gk.stream.Mix, trace: opt.Trace}
 	for i, k := range keys {
-		arts[i] = heldArtifact[sim.CoreKey, *sim.Recording]{
-			m: streams, key: k, mix: gk.stream.Mix, trace: opt.Trace, min: 2,
-			get: func(ctx context.Context) (*sim.Recording, error) { return recordingFor(ctx, k, cfg) },
-		}
+		recs.keys[i].Core = k
 	}
-	return gk, arts
+	return gk, recs
 }
 
 // streamKey identifies one mix's recorded private-level history, the
@@ -266,10 +271,9 @@ func streamKeyFor(cfg sim.Config, mix workload.Mix, opt Options) streamKey {
 	}
 }
 
-// streams is the stream memo, one recording per distinct core. A run
-// replays only from recordings a batch holds, holding them too while it
-// does.
-var streams = newHeldMemo[sim.CoreKey, *sim.Recording]("per-core recordings", "record")
+// streams is the stream memo of per-core recordings. A run replays only
+// from recordings a batch holds, holding them too while it does.
+var streams = newHeldMemo[recKey, *sim.Recording]("per-core recordings", "record")
 
 // replayKeys returns the recordings an exact run would replay, one per
 // core, and whether it can: sim decides for the controller and
@@ -284,8 +288,8 @@ func replayKeys(cfg sim.Config, c core.Controller, mix workload.Mix, opt Options
 }
 
 // recordingFor returns key's recording, recording it on first use.
-func recordingFor(ctx context.Context, key sim.CoreKey, cfg sim.Config) (*sim.Recording, error) {
+func recordingFor(ctx context.Context, key recKey, cfg sim.Config) (*sim.Recording, error) {
 	return streams.get(ctx, key, func() (*sim.Recording, error) {
-		return sim.RecordCore(cfg, key)
+		return sim.RecordCore(cfg, key.Core)
 	})
 }
