@@ -28,7 +28,7 @@ bench:
 # stamped with the current git revision; same label+rev replaces the
 # latest entry, anything else appends a new trajectory point.
 LABEL ?= after
-BENCH_SUITE = 'BenchmarkSim|BenchmarkCacheLookup|BenchmarkLoopAwareVictim|BenchmarkWorkloadGen|BenchmarkFig14$$|BenchmarkFig14Banks4|BenchmarkFig14Sampled'
+BENCH_SUITE = 'BenchmarkSim|BenchmarkCacheLookup|BenchmarkLoopAwareVictim|BenchmarkWorkloadGen|BenchmarkFig14$$|BenchmarkFig14Sampled'
 bench-json:
 	( $(GO) test -bench $(BENCH_SUITE) -benchmem -benchtime=1x -run '^$$' . && \
 	  $(GO) test -bench BenchmarkAccessAllocs -benchmem -benchtime=200000x -run '^$$' ./internal/sim ) \

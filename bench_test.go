@@ -26,15 +26,8 @@ import (
 // benchArtifactJobs regenerates one paper artifact per iteration on the
 // given worker count (0 = GOMAXPROCS, 1 = serial).
 func benchArtifactJobs(b *testing.B, id string, jobs int) {
-	benchArtifactBanks(b, id, jobs, 0)
-}
-
-// benchArtifactBanks additionally sets the intra-run parallelism width
-// (sim.Config.Banks) of every simulation in the artifact.
-func benchArtifactBanks(b *testing.B, id string, jobs, banks int) {
 	opt := experiments.Quick()
 	opt.Jobs = jobs
-	opt.Banks = banks
 	gen, ok := experiments.Registry(opt)[id]
 	if !ok {
 		b.Fatalf("unknown artifact %q", id)
@@ -65,12 +58,9 @@ func BenchmarkFig13(b *testing.B)  { benchArtifact(b, "fig13") }
 func BenchmarkFig14(b *testing.B)  { benchArtifact(b, "fig14") }
 
 // The serial/parallel pair quantifies the scheduler's speedup on the
-// heaviest artifact (compare ns/op across the two), and the Banks
-// variant the banked engine's intra-run speedup on top of serial
-// scheduling (one run at a time, four workers inside it).
+// heaviest artifact (compare ns/op across the two).
 func BenchmarkFig14Serial(b *testing.B)   { benchArtifactJobs(b, "fig14", 1) }
 func BenchmarkFig14Parallel(b *testing.B) { benchArtifactJobs(b, "fig14", 0) }
-func BenchmarkFig14Banks4(b *testing.B)   { benchArtifactBanks(b, "fig14", 1, 4) }
 
 // BenchmarkFig14Sampled regenerates Fig. 14 in interval-sampled mode
 // (one functional profiling pass per mix, detailed simulation of one
@@ -129,11 +119,8 @@ func BenchmarkMemoRecall(b *testing.B) {
 
 // benchPolicy measures end-to-end simulation speed (accesses/op) for one
 // policy on a loop-heavy mix.
-func benchPolicy(b *testing.B, p Policy) { benchPolicyBanks(b, p, 0) }
-
-func benchPolicyBanks(b *testing.B, p Policy, banks int) {
+func benchPolicy(b *testing.B, p Policy) {
 	cfg := DefaultConfig()
-	cfg.Banks = banks
 	if p == PolicyLhybrid {
 		cfg = cfg.WithHybridL3()
 	}
@@ -153,7 +140,6 @@ func BenchmarkSimExclusive(b *testing.B)    { benchPolicy(b, PolicyExclusive) }
 func BenchmarkSimFLEXclusion(b *testing.B)  { benchPolicy(b, PolicyFLEXclusion) }
 func BenchmarkSimDswitch(b *testing.B)      { benchPolicy(b, PolicyDswitch) }
 func BenchmarkSimLAP(b *testing.B)          { benchPolicy(b, PolicyLAP) }
-func BenchmarkSimLAPBanks4(b *testing.B)    { benchPolicyBanks(b, PolicyLAP, 4) }
 func BenchmarkSimLhybrid(b *testing.B)      { benchPolicy(b, PolicyLhybrid) }
 
 // BenchmarkCacheLookup measures the raw set-associative lookup path.

@@ -101,7 +101,6 @@ func main() {
 	accesses := flag.Uint64("accesses", 0, "override per-core trace length")
 	seed := flag.Uint64("seed", 0, "override workload seed")
 	jobs := flag.Int("jobs", runtime.NumCPU(), "concurrent simulation runs (1 = serial)")
-	banks := flag.Int("banks", 0, "intra-run parallelism width per simulation (tables identical at any value)")
 	list := flag.Bool("list", false, "list available artifacts and exit")
 	csvDir := flag.String("csv", "", "also save each artifact as CSV into this directory")
 	timings := flag.String("timings", "", "write per-artifact wall-clock and runs/sec JSON to this file")
@@ -126,7 +125,6 @@ func main() {
 		opt.Seed = *seed
 	}
 	opt.Jobs = *jobs
-	opt.Banks = *banks
 	switch *mode {
 	case "exact":
 	case "sampled":

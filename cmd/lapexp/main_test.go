@@ -199,29 +199,3 @@ func TestGenerateRecallsAcrossArtifacts(t *testing.T) {
 		t.Error("second pass recalled nothing")
 	}
 }
-
-// TestGenerateBankInvariance pins the banked engine's user-facing
-// contract at the artifact level: the rendered tables (the exact bytes
-// lapexp prints) are identical whether simulations run serially or
-// sharded across intra-run workers, at any bank count.
-func TestGenerateBankInvariance(t *testing.T) {
-	render := func(banks int) string {
-		experiments.ResetMemo()
-		opt := tinyOptions()
-		opt.Banks = banks
-		var tables strings.Builder
-		if _, err := generate(opt, []string{"fig2", "fig14"}, "", &tables, io.Discard); err != nil {
-			t.Fatal(err)
-		}
-		return tables.String()
-	}
-	serial := render(0)
-	if serial == "" {
-		t.Fatal("serial render produced no output")
-	}
-	for _, banks := range []int{1, 4, 8} {
-		if got := render(banks); got != serial {
-			t.Errorf("tables at Banks=%d differ from serial render", banks)
-		}
-	}
-}

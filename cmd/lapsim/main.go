@@ -54,7 +54,6 @@ func main() {
 	warmup := flag.Uint64("warmup", 0, "per-core warmup accesses excluded from statistics")
 	moesi := flag.Bool("moesi", false, "track the MOESI reference protocol (threaded runs)")
 	prefetch := flag.Int("prefetch", 0, "next-N-line L2 prefetch degree")
-	banks := flag.Int("banks", 0, "intra-run parallelism width (results identical at any value)")
 	mshr := flag.Int("mshr", 0, "MSHR entries per LLC miss path (0 = unbounded, the pre-MSHR model)")
 	configPath := flag.String("config", "", "JSON machine configuration to start from")
 	metricsFile := flag.String("metrics", "", "write a Prometheus text exposition of the run's counters to this file")
@@ -106,9 +105,6 @@ func main() {
 	cfg.TrackMOESI = cfg.TrackMOESI || *moesi
 	if *prefetch > 0 {
 		cfg.PrefetchDegree = *prefetch
-	}
-	if *banks > 0 {
-		cfg.Banks = *banks
 	}
 	if *mshr > 0 {
 		cfg.MSHREntries = *mshr

@@ -1,8 +1,11 @@
 package lap
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -37,13 +40,23 @@ func LoadConfig(path string) (Config, error) {
 
 // ParseConfig decodes a (possibly partial) JSON machine configuration
 // overlaid on DefaultConfig, and validates it. Empty input yields the
-// defaults. This is the byte-level core of LoadConfig, shared with the
-// lapserved request decoder.
+// defaults. The input must hold exactly one JSON object, and a key that
+// names no Config field is an error naming the key, so a misspelled or
+// retired setting is never silently ignored. This is the byte-level
+// core of LoadConfig, shared with the lapserved request decoder.
 func ParseConfig(data []byte) (Config, error) {
 	// Start from the defaults so omitted fields stay sane.
 	cfg := DefaultConfig()
 	if len(data) > 0 {
-		if err := json.Unmarshal(data, &cfg); err != nil {
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		err := dec.Decode(&cfg)
+		if err == nil {
+			if _, tokErr := dec.Token(); tokErr != io.EOF {
+				err = errors.New("unexpected data after the JSON object")
+			}
+		}
+		if err != nil {
 			return Config{}, fmt.Errorf("decoding config: %w", err)
 		}
 	}

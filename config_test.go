@@ -69,6 +69,17 @@ func TestLoadConfigErrors(t *testing.T) {
 	if !errors.As(err, &fe) || fe.Field != "Cores" {
 		t.Fatalf("invalid config error is not a *FieldError naming Cores: %v", err)
 	}
+	// A key that names no Config field — a typo, or a setting the
+	// simulator no longer has — fails the load and is named.
+	for _, key := range []string{"L3SizeByte", "Banks"} {
+		unknown := filepath.Join(t.TempDir(), "unknown.json")
+		if err := writeFile(unknown, `{"`+key+`": 4}`); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadConfig(unknown); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
+			t.Fatalf("config with unknown key %s: error = %v", key, err)
+		}
+	}
 }
 
 func TestValidateConfig(t *testing.T) {
@@ -159,5 +170,22 @@ func TestParseConfig(t *testing.T) {
 	}
 	if _, err := ParseConfig([]byte(`{"Cores": -1}`)); err == nil {
 		t.Fatal("invalid machine accepted")
+	}
+	// Unknown keys and anything after the object are errors, not
+	// silently dropped: a misspelled L3SizeBytes would otherwise run the
+	// default LLC, and Banks is a retired setting.
+	for _, tc := range []struct{ in, want string }{
+		{`{"L3SizeByte": 1048576}`, `unknown field "L3SizeByte"`},
+		{`{"Banks": 4}`, `unknown field "Banks"`},
+		{`{"Cores": 2} {"Cores": 4}`, "after the JSON object"},
+		{`{"Cores": 2} garbage`, "after the JSON object"},
+	} {
+		if _, err := ParseConfig([]byte(tc.in)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ParseConfig(%s) error = %v, want one containing %q", tc.in, err, tc.want)
+		}
+	}
+	// Trailing whitespace is fine.
+	if cfg, err := ParseConfig([]byte("{\"Cores\": 2}\n")); err != nil || cfg.Cores != 2 {
+		t.Fatalf("trailing newline: %+v, %v", cfg, err)
 	}
 }

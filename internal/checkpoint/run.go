@@ -19,12 +19,10 @@ import (
 )
 
 // DigestSimConfig hashes a simulator configuration for checkpoint
-// keying, normalizing the host-execution knobs that do not affect
-// results (Banks, CheckpointEvery — the same fields the memo layers
-// exclude), so a run checkpointed at one worker-bank count resumes at
-// any other.
+// keying, normalizing CheckpointEvery, which does not affect results
+// (the memo layers exclude it too), so a run checkpointed at one
+// spacing resumes at any other.
 func DigestSimConfig(cfg sim.Config) string {
-	cfg.Banks = 0
 	cfg.CheckpointEvery = 0
 	return DigestJSON(cfg)
 }

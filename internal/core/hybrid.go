@@ -204,7 +204,6 @@ func init() {
 		Description:     "LAP plus loop-block-aware SRAM/STT-RAM data placement",
 		NeedsHybridLLC:  true,
 		SampledEligible: true,
-		BankedEligible:  true,
 		Rank:            9,
 		New:             func(PolicyParams) Controller { return NewLhybrid() },
 	})

@@ -142,7 +142,6 @@ func init() {
 		Name:            "LAP-LRU",
 		Description:     "LAP data flow with plain LRU replacement",
 		SampledEligible: true,
-		BankedEligible:  true,
 		Rank:            6,
 		New:             func(PolicyParams) Controller { return NewLAPVariant(AlwaysLRU) },
 	})
@@ -150,7 +149,6 @@ func init() {
 		Name:            "LAP-Loop",
 		Description:     "LAP data flow, always evicting non-loop-blocks first",
 		SampledEligible: true,
-		BankedEligible:  true,
 		Rank:            7,
 		New:             func(PolicyParams) Controller { return NewLAPVariant(AlwaysLoopAware) },
 	})
@@ -158,7 +156,6 @@ func init() {
 		Name:            "LAP",
 		Description:     "LAP with set-dueling between LRU and loop-aware replacement",
 		SampledEligible: true,
-		BankedEligible:  true,
 		Rank:            8,
 		New:             func(PolicyParams) Controller { return NewLAP() },
 	})

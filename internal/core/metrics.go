@@ -95,9 +95,8 @@ type Metrics struct {
 	Cycles       uint64
 }
 
-// Add accumulates o's counts into m. The banked simulator uses it to fold
-// per-core counter shards back into the run's metrics; all counters are
-// event counts, so addition is exact regardless of interleaving.
+// Add accumulates o's counts into m, e.g. to total several runs; all
+// counters are event counts, so addition is exact.
 func (m *Metrics) Add(o *Metrics) {
 	m.L3Accesses += o.L3Accesses
 	m.L3Hits += o.L3Hits

@@ -86,10 +86,9 @@ func init() {
 	// intervals, which would inflate every estimated distance — so the
 	// policy is exact-mode only (refused, never silently wrong).
 	RegisterPolicy(PolicyInfo{
-		Name:           "rd-copyback",
-		Description:    "exclusive flow, clean copy-backs gated on estimated reuse distance vs LLC capacity",
-		BankedEligible: true,
-		Rank:           11,
-		New:            func(PolicyParams) Controller { return NewRDCopyback() },
+		Name:        "rd-copyback",
+		Description: "exclusive flow, clean copy-backs gated on estimated reuse distance vs LLC capacity",
+		Rank:        11,
+		New:         func(PolicyParams) Controller { return NewRDCopyback() },
 	})
 }

@@ -50,10 +50,6 @@ type PolicyInfo struct {
 	// state cannot be re-warmed across interval jumps set it false and
 	// are refused (never silently wrong) in sampled mode.
 	SampledEligible bool
-	// BankedEligible marks policies that may run under the banked
-	// parallel engine. Policies needing globally ordered side effects
-	// across cores (back-invalidation) set it false.
-	BankedEligible bool
 	// Rank orders Policies()/PolicyNames() (paper Table IV order).
 	Rank int
 	// New builds a fresh controller; dueling state is per-run, so every

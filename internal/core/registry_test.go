@@ -66,8 +66,7 @@ func TestLookupPolicyDWBWrapper(t *testing.T) {
 		t.Fatalf("wrapped canonical name: %q", info.Name)
 	}
 	if info.NeedsHybridLLC != base.NeedsHybridLLC ||
-		info.SampledEligible != base.SampledEligible ||
-		info.BankedEligible != base.BankedEligible {
+		info.SampledEligible != base.SampledEligible {
 		t.Fatalf("wrapped flags differ from base: %+v vs %+v", info, base)
 	}
 	ctrl := info.New(PolicyParams{})
@@ -105,27 +104,27 @@ func TestPolicyFactoryRoundTrip(t *testing.T) {
 }
 
 func TestPolicyCapabilityFlags(t *testing.T) {
-	wantFlags := map[string]struct{ hybrid, sampled, banked bool }{
-		"non-inclusive":  {false, true, true},
-		"exclusive":      {false, true, true},
-		"inclusive":      {false, true, false},
-		"FLEXclusion":    {false, true, true},
-		"Dswitch":        {false, true, true},
-		"LAP-LRU":        {false, true, true},
-		"LAP-Loop":       {false, true, true},
-		"LAP":            {false, true, true},
-		"Lhybrid":        {true, true, true},
-		"reuse-detector": {false, false, true},
-		"rd-copyback":    {false, false, true},
+	wantFlags := map[string]struct{ hybrid, sampled bool }{
+		"non-inclusive":  {false, true},
+		"exclusive":      {false, true},
+		"inclusive":      {false, true},
+		"FLEXclusion":    {false, true},
+		"Dswitch":        {false, true},
+		"LAP-LRU":        {false, true},
+		"LAP-Loop":       {false, true},
+		"LAP":            {false, true},
+		"Lhybrid":        {true, true},
+		"reuse-detector": {false, false},
+		"rd-copyback":    {false, false},
 	}
 	for name, want := range wantFlags {
 		info, ok := LookupPolicy(name)
 		if !ok {
 			t.Fatalf("%s not registered", name)
 		}
-		if info.NeedsHybridLLC != want.hybrid || info.SampledEligible != want.sampled || info.BankedEligible != want.banked {
-			t.Errorf("%s flags: hybrid=%v sampled=%v banked=%v, want %+v",
-				name, info.NeedsHybridLLC, info.SampledEligible, info.BankedEligible, want)
+		if info.NeedsHybridLLC != want.hybrid || info.SampledEligible != want.sampled {
+			t.Errorf("%s flags: hybrid=%v sampled=%v, want %+v",
+				name, info.NeedsHybridLLC, info.SampledEligible, want)
 		}
 	}
 }

@@ -108,10 +108,9 @@ func init() {
 	// jump, which would systematically under-predict reuse — so the
 	// policy is exact-mode only (refused, never silently wrong).
 	RegisterPolicy(PolicyInfo{
-		Name:           "reuse-detector",
-		Description:    "non-inclusive flow, fills and dirty insertions gated on detected LLC reuse",
-		BankedEligible: true,
-		Rank:           10,
-		New:            func(PolicyParams) Controller { return NewReuseDetector() },
+		Name:        "reuse-detector",
+		Description: "non-inclusive flow, fills and dirty insertions gated on detected LLC reuse",
+		Rank:        10,
+		New:         func(PolicyParams) Controller { return NewReuseDetector() },
 	})
 }

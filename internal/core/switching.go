@@ -96,7 +96,6 @@ func init() {
 		Name:            "FLEXclusion",
 		Description:     "duels non-inclusion vs exclusion on capacity/bandwidth demand",
 		SampledEligible: true,
-		BankedEligible:  true,
 		Rank:            4,
 		New:             func(PolicyParams) Controller { return NewFLEXclusion() },
 	})
@@ -104,7 +103,6 @@ func init() {
 		Name:            "Dswitch",
 		Description:     "duels non-inclusion vs exclusion weighing LLC writes by energy",
 		SampledEligible: true,
-		BankedEligible:  true,
 		Rank:            5,
 		New:             func(p PolicyParams) Controller { return NewDswitch(p.MissNJ, p.WriteNJ) },
 	})

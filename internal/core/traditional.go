@@ -149,7 +149,6 @@ func init() {
 		Name:            "non-inclusive",
 		Description:     "baseline inclusion property; fills both levels, drops clean victims",
 		SampledEligible: true,
-		BankedEligible:  true,
 		Rank:            1,
 		New:             func(PolicyParams) Controller { return NewNonInclusive() },
 	})
@@ -157,13 +156,9 @@ func init() {
 		Name:            "exclusive",
 		Description:     "fills upper level only, invalidates on hit, inserts all victims",
 		SampledEligible: true,
-		BankedEligible:  true,
 		Rank:            2,
 		New:             func(PolicyParams) Controller { return NewExclusive() },
 	})
-	// Inclusive back-invalidates upper-level copies on LLC eviction, a
-	// globally ordered cross-core side effect the banked engine cannot
-	// replay, so it is the one banked-ineligible policy.
 	RegisterPolicy(PolicyInfo{
 		Name:            "inclusive",
 		Description:     "non-inclusive flow plus back-invalidation of upper-level copies",

@@ -39,13 +39,6 @@ type Options struct {
 	// walks every run's private levels directly (streams.go). Tables are
 	// byte-identical for any value; Jobs only changes wall-clock.
 	Jobs int
-	// Banks sets sim.Config.Banks on every run: intra-run parallelism
-	// width for the banked execution engine. Like Jobs it is a pure
-	// scheduling knob — results are byte-identical for any value — so it
-	// is excluded from memo keys. Jobs parallelises across runs, Banks
-	// within one; they compose, but oversubscribing both on a small
-	// machine wastes time in the banked engine's spin gate.
-	Banks int
 	// Trace optionally records per-cell wall-clock spans (and the memo's
 	// compute-vs-recall provenance) into a span tracer. Nil — the default
 	// — is fully off; tables are byte-identical either way, the tracer
@@ -62,9 +55,9 @@ type Options struct {
 	// per core. Runs that sampling cannot represent — coherent, MOESI-
 	// tracked, profiled, or warmup-bounded configurations — silently stay
 	// exact, so one flag can accelerate a whole artifact sweep. Unlike
-	// Jobs/Banks this changes results (they become estimates), so the
-	// sampling knobs ARE part of memo keys: sampled and exact runs never
-	// share cache entries.
+	// Jobs this changes results (they become estimates), so the sampling
+	// knobs ARE part of memo keys: sampled and exact runs never share
+	// cache entries.
 	SampleInterval uint64
 	// SampleClusters is the detailed-interval budget per sampled run
 	// (0 = ~sqrt(intervals) automatically).
@@ -77,7 +70,7 @@ type Options struct {
 	// and resume from the latest valid snapshot when the same cell is
 	// re-run after a crash, and sampling profiles persist across
 	// processes. Results are byte-identical with or without a store, so
-	// like Jobs/Banks neither field is part of memo keys; checkpoint
+	// like Jobs neither field is part of memo keys; checkpoint
 	// durability failures degrade to cold starts, never run failures.
 	Checkpoints *checkpoint.Store
 	// CheckpointEvery is the snapshot spacing in accesses (summed over

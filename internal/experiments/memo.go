@@ -51,11 +51,10 @@ type memoKey struct {
 }
 
 // runKey builds the memo key. Options contributes only the knobs that
-// change a run's outcome; scheduling knobs (Jobs, Banks) are deliberately
-// excluded — and Config.Banks normalised away — so serial and parallel
-// invocations share entries.
+// change a run's outcome; scheduling knobs (Jobs) are deliberately
+// excluded — and Config.CheckpointEvery normalised away — so serial,
+// parallel and checkpointed invocations share entries.
 func runKey(cfg sim.Config, policy string, mix workload.Mix, threaded bool, opt Options) memoKey {
-	cfg.Banks = 0
 	cfg.CheckpointEvery = 0
 	return memoKey{
 		Cfg:        cfg,
@@ -85,9 +84,6 @@ var memo = memocache.New[memoKey, sim.Result](0)
 // therefore name its controller uniquely among those run under the same
 // configuration and options.
 func cellFor(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options) (sim.Config, core.Controller, memoKey) {
-	if opt.Banks > 0 {
-		cfg.Banks = opt.Banks
-	}
 	if opt.Checkpoints != nil && opt.CheckpointEvery > 0 {
 		cfg.CheckpointEvery = opt.CheckpointEvery
 	}
@@ -212,7 +208,6 @@ type profileKey struct {
 }
 
 func profileKeyFor(cfg sim.Config, mix workload.Mix, opt Options) profileKey {
-	cfg.Banks = 0
 	cfg.SampleClusters = 0
 	cfg.SampleWarmup = 0
 	return profileKey{
@@ -296,9 +291,6 @@ func runFrom(recs []recKey, cfg sim.Config, policyName string, ctrl sim.Controll
 // runThreadedE executes (or recalls) one coherent multi-threaded run,
 // with the same failure containment and cell identity as runE.
 func runThreadedE(cfg sim.Config, ctrl sim.Controller, b workload.Benchmark, opt Options) (sim.Result, error) {
-	if opt.Banks > 0 {
-		cfg.Banks = opt.Banks
-	}
 	c := ctrl()
 	key := runKey(cfg, c.Name(), workload.Mix{Name: b.Name}, true, opt)
 	cell := key.Mix + "|" + key.Policy

@@ -284,9 +284,9 @@ type runKey struct {
 
 // profileKey identifies one functional profile in the server's profile
 // cache. Policy is absent — profiles are policy-independent — and the
-// replay-shaping knobs (Banks, SampleClusters, SampleWarmup) are
-// normalised away, so a sampled sweep's six-plus policies per mix share
-// one profiling pass.
+// replay-shaping knobs (SampleClusters, SampleWarmup) are normalised
+// away, so a sampled sweep's six-plus policies per mix share one
+// profiling pass.
 type profileKey struct {
 	Cfg      lap.Config
 	Workload string
@@ -300,7 +300,6 @@ type profileKey struct {
 // the first builds the profile.
 func (s *Server) profileFor(sp *runSpec) (*lap.SampleProfile, error) {
 	kcfg := sp.cfg
-	kcfg.Banks = 0
 	kcfg.SampleClusters = 0
 	kcfg.SampleWarmup = 0
 	key := profileKey{Cfg: kcfg, Workload: sp.key.Workload, Accesses: sp.accesses, Seed: sp.seed}
@@ -535,10 +534,8 @@ func (s *Server) resolveRun(req RunRequest) (*runSpec, error) {
 		Accesses: sp.accesses,
 		Seed:     seed,
 	}
-	// Banks only changes how a run is scheduled, never its result, and
-	// CheckpointEvery only changes durability, so requests differing in
-	// either coalesce onto one cache entry.
-	sp.key.Cfg.Banks = 0
+	// CheckpointEvery only changes durability, never the result, so
+	// requests differing in it coalesce onto one cache entry.
 	sp.key.Cfg.CheckpointEvery = 0
 	return sp, nil
 }

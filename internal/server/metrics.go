@@ -36,8 +36,7 @@ type serverMetrics struct {
 	queueWait     *obs.Histogram
 
 	// accessRate is the most recent computed run's simulated-access
-	// throughput (accesses simulated per wall-clock second of execution)
-	// — the simulator-speed series the banked engine's speedups move.
+	// throughput (accesses simulated per wall-clock second of execution).
 	accessRate *obs.Gauge
 	// bankOps accumulates each computed run's per-LLC-bank access counts
 	// (Result.BankOps). Series materialise lazily because the bank count

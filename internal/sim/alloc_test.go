@@ -11,7 +11,7 @@ import (
 // The access loop must not allocate: every per-access allocation turns
 // into GC pressure multiplied by the hundreds of millions of accesses a
 // figure sweep simulates. These tests pin allocs/access at exactly zero
-// for every inclusion controller on the parallel-eligible fast path.
+// for every inclusion controller on the fast path.
 // BenchmarkAccessAllocs is additionally parsed by the CI gate (`make ci`
 // greps its allocs/op), so renaming it requires updating the Makefile.
 

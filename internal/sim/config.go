@@ -94,19 +94,6 @@ type Config struct {
 	// Profile enables the per-block redundancy/CTC profiler.
 	Profile bool
 
-	// Banks selects the intra-run parallelism width: when greater than 1,
-	// the run's cores are sharded across up to Banks worker goroutines
-	// (clamped to Cores) that walk their private L1/L2 hierarchies
-	// concurrently while every shared-LLC operation executes in exactly
-	// the serial simulation order, so results are byte-identical to the
-	// serial path. 0 or 1 selects the serial loop. Runs that are
-	// coherent, MOESI-tracked, profiled, telemetry-observed, or under the
-	// inclusive controller fall back to the serial loop automatically
-	// (their access walks touch cross-core state). Unlike L3Banks this is
-	// a host-execution knob, not a timing-model parameter: it never
-	// changes simulation results.
-	Banks int
-
 	// MSHREntries > 0 models a bounded table of miss-status holding
 	// registers in front of main memory: concurrent LLC misses to a block
 	// already in flight merge with the outstanding fill instead of
@@ -147,13 +134,13 @@ type Config struct {
 
 	// CheckpointEvery, when positive, snapshots the full machine state
 	// every CheckpointEvery executed accesses (summed across cores) so an
-	// attached checkpoint sink can persist them (RunCheckpointed). Like
-	// Banks it is a host-execution knob with no effect on results — a
-	// checkpointed run is byte-identical to an uninterrupted one — so the
-	// memo layers normalize it out of their keys. Checkpointing forces
-	// the serial loop and silently disables itself on configurations
-	// whose state is not serialized (Coherent, TrackMOESI, Profile,
-	// UseDRAM, sampled mode, telemetry).
+	// attached checkpoint sink can persist them (RunCheckpointed). It is
+	// a host-execution knob with no effect on results — a checkpointed
+	// run is byte-identical to an uninterrupted one — so the memo layers
+	// normalize it out of their keys. Checkpointing walks every core's
+	// private levels directly (no replay) and silently disables itself
+	// on configurations whose state is not serialized (Coherent,
+	// TrackMOESI, Profile, UseDRAM, sampled mode, telemetry).
 	CheckpointEvery uint64
 }
 

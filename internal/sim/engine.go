@@ -24,9 +24,8 @@ import (
 //     state is deliberately kept (stale but warm); functional warmup
 //     intervals re-freshen it before measurements resume.
 //
-// The Engine always runs serially (Config.Banks is ignored): sampled
-// runs get their speedup from skipping intervals, not from intra-run
-// parallelism, and the telemetry seam requires the serial order anyway.
+// Sampled runs get their speedup from skipping intervals; every window
+// walks the cores' private levels directly, as Run does.
 type Engine struct {
 	m *machine
 	// scratch is the functional loop's decode buffer: functional windows

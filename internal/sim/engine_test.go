@@ -19,7 +19,7 @@ func TestEngineDetailedMatchesRun(t *testing.T) {
 
 	eng := NewEngine(cfg, core.NewLAP(), sourcesFor(loopy(), 2, perCore), nil)
 	// One window covering the whole run: the engine's scheduler then
-	// makes exactly the choices serialLoop makes. (Windowed schedules
+	// makes exactly the choices Run's loop makes. (Windowed schedules
 	// barrier at quota boundaries, which legitimately shifts bank
 	// contention timestamps; sampled runs accept that, exact equality
 	// holds only for the single-window drive.)

@@ -84,11 +84,11 @@ func (c Config) CoreKeys(mix workload.Mix, accesses, seed uint64) ([]CoreKey, er
 // private-level history from recordings. The direct walk stays the
 // path for every run the recordings cannot represent: coherent and
 // MOESI-tracked runs (snoops write other cores' private levels),
-// profiled runs (the profiler watches L2 writes), the banked engine,
-// checkpointed and sampled runs, controllers that back-invalidate into
-// the L1/L2 (inclusive), warmup-bounded runs (their baseline snapshots
-// every core at one point of the global order, which replay does not
-// keep), and clock settings under which a core's clock could fall or
+// profiled runs (the profiler watches L2 writes), checkpointed and
+// sampled runs, controllers that back-invalidate into the L1/L2
+// (inclusive), warmup-bounded runs (their baseline snapshots every core
+// at one point of the global order, which replay does not keep), and
+// clock settings under which a core's clock could fall or
 // turn NaN (replay's ordering rests on a clock that never decreases).
 func Replayable(cfg Config, ctrl core.Controller) bool {
 	return cfg.recordable() && !backInvalidates(ctrl) &&
@@ -98,7 +98,7 @@ func Replayable(cfg Config, ctrl core.Controller) bool {
 // recordable reports whether cfg's private levels are independent of
 // the controller.
 func (c Config) recordable() bool {
-	return !c.Coherent && !c.TrackMOESI && !c.Profile && c.Banks == 0 &&
+	return !c.Coherent && !c.TrackMOESI && !c.Profile &&
 		c.CheckpointEvery == 0 && c.SampleInterval == 0
 }
 
@@ -307,7 +307,7 @@ func newReplayMachine(cfg Config, ctrl core.Controller, recs []*Recording) *mach
 		if cfg.MaxAccessesPerCore > 0 && cfg.MaxAccessesPerCore < uint64(end) {
 			end = int(cfg.MaxAccessesPerCore)
 		}
-		m.cores = append(m.cores, &coreState{id: i, met: m.ctx.Met, rp: &replayCursor{
+		m.cores = append(m.cores, &coreState{id: i, rp: &replayCursor{
 			r: r, end: end, loop: make([]uint64, (uint64(r.fetches)+63)/64),
 		}})
 	}
@@ -396,7 +396,7 @@ func (m *machine) runAhead(c *coreState) {
 // the LLC's.
 func (m *machine) replayPrivate(c *coreState, a uint32) uint64 {
 	m.retire(c, uint16(a))
-	met := c.met
+	met := m.ctx.Met
 	met.L1Accesses++
 	if a>>accLevelShift&3 == 0 {
 		return m.cfg.L1Cycles
@@ -411,7 +411,7 @@ func (m *machine) replayPrivate(c *coreState, a uint32) uint64 {
 // issues its LLC operations in recorded order and charges the stall the
 // direct walk would charge.
 func (m *machine) replayAccess(c *coreState, a uint32) {
-	r, met := c.rp, c.met
+	r, met := c.rp, m.ctx.Met
 	lat := m.replayPrivate(c, a)
 	// An access served by the LLC issues its demand fetch first; any
 	// later fetch is a prefetch.

@@ -101,11 +101,6 @@ type coreState struct {
 	nAcc   uint64
 	done   bool
 
-	// met receives the upper-level counters this core's walk produces.
-	// In the serial loop it aliases the machine's shared Metrics; the
-	// banked loop points it at a private shard merged after the run.
-	met *core.Metrics
-
 	// buf/bufPos/srcEOF implement the batched trace decode (see next).
 	buf    []trace.Access
 	bufPos int
@@ -114,13 +109,6 @@ type coreState struct {
 	// rp is a replayed core's position in its recording (replay.go).
 	// A replayed core has no source and no L1/L2.
 	rp *replayCursor
-
-	// worker/gateKey/gateHeld belong to the banked execution mode: the
-	// worker that owns this core, the published pre-access progress key,
-	// and whether this access already acquired the shared-state gate.
-	worker   int
-	gateKey  uint64
-	gateHeld bool
 }
 
 // next returns the core's next access, refilling the decode buffer in
@@ -161,14 +149,9 @@ type machine struct {
 	tel       *telemetryState
 	loopFills uint64
 
-	// par is the banked execution engine while the parallel phase runs
-	// (nil in the serial loop, so enterShared costs one nil check).
-	par *parEngine
-
 	// ck is the checkpoint schedule (nil on non-checkpointed runs — the
 	// hot loop then pays one nil check per access, like telemetry).
-	// Checkpointing forces the serial loop: snapshots are defined between
-	// two accesses of the reference schedule.
+	// Snapshots are defined between two accesses of the loop's schedule.
 	ck *ckState
 
 	// Warmup baselines, captured when the measurement window opens so
@@ -312,7 +295,6 @@ func (m *machine) newCore(i int, src trace.Source) *coreState {
 		l2: cache.New(cache.Config{Name: "L2", SizeBytes: cfg.L2SizeBytes,
 			Ways: cfg.L2Ways, BlockBytes: cfg.BlockBytes}),
 		src: src,
-		met: m.ctx.Met,
 		buf: make([]trace.Access, 0, accessBatch),
 	}
 }
@@ -333,39 +315,10 @@ func backInvalidates(ctrl core.Controller) bool {
 	}
 }
 
-// loop drives the run to completion. The serial loop advances the
-// least-progressed active core one access at a time, which interleaves
-// the cores' LLC traffic in timestamp order; with Config.Banks > 1 (and
-// an eligible configuration) the same order is reproduced by the banked
-// engine in parallel.go, with the warmup phase always run serially so the
-// measurement window opens at exactly the serial boundary.
+// loop drives the run to completion. It advances the least-progressed
+// active core one access at a time, ties going to the lowest core
+// index, which interleaves the cores' LLC traffic in timestamp order.
 func (m *machine) loop() {
-	if nw := m.parWorkers(); nw > 0 {
-		if m.cfg.WarmupAccessesPerCore > 0 {
-			m.serialLoop(true)
-		}
-		if !m.allDone() {
-			for _, c := range m.cores {
-				c.met = &core.Metrics{}
-			}
-			m.runParallel(nw)
-			for _, c := range m.cores {
-				m.ctx.Met.Add(c.met)
-				c.met = m.ctx.Met
-			}
-		}
-		return
-	}
-	m.serialLoop(false)
-	if m.ctx.Prof != nil {
-		m.ctx.Prof.Finish()
-	}
-}
-
-// serialLoop is the reference single-goroutine schedule. When
-// stopAfterWarmup is set it returns as soon as the measurement window
-// opens, leaving the rest of the run to the banked engine.
-func (m *machine) serialLoop(stopAfterWarmup bool) {
 	for {
 		var next *coreState
 		for _, c := range m.cores {
@@ -377,7 +330,7 @@ func (m *machine) serialLoop(stopAfterWarmup bool) {
 			}
 		}
 		if next == nil {
-			return
+			break
 		}
 		acc, ok := next.next()
 		if !ok {
@@ -402,9 +355,9 @@ func (m *machine) serialLoop(stopAfterWarmup bool) {
 				m.ck.next += m.ck.every
 			}
 		}
-		if stopAfterWarmup && m.warmupDone {
-			return
-		}
+	}
+	if m.ctx.Prof != nil {
+		m.ctx.Prof.Finish()
 	}
 }
 
@@ -499,10 +452,8 @@ func (m *machine) subtractBaselines() {
 	}
 }
 
-// step processes one access on core c. Ctx.Now is refreshed at each
-// shared-state entry point (access, prefetch, onL2Evict), never here: in
-// the banked mode this function runs concurrently across cores and only
-// the gated sections may touch the shared Ctx.
+// step processes one access on core c. Ctx.Now is refreshed just
+// before each controller call (access, prefetch, onL2Evict).
 func (m *machine) step(c *coreState, acc trace.Access) {
 	m.retire(c, acc.Instrs)
 	block := acc.Addr / uint64(m.cfg.BlockBytes)
@@ -566,12 +517,9 @@ func (m *machine) stepFunctional(c *coreState, acc trace.Access) {
 }
 
 // access performs the hierarchy walk and returns the access latency.
-// Upper-level counters go to c.met (the core's shard in banked mode);
-// everything from the coherence snoop down is shared state and runs
-// behind enterShared.
 func (m *machine) access(c *coreState, block uint64, write bool) uint64 {
 	cfg := &m.cfg
-	met := c.met
+	met := m.ctx.Met
 	met.L1Accesses++
 
 	if write && m.ctx.Prof != nil {
@@ -623,7 +571,6 @@ func (m *machine) access(c *coreState, block uint64, write bool) uint64 {
 	}
 
 	// LLC via the inclusion controller.
-	m.enterShared(c)
 	m.ctx.Now = uint64(c.cycles)
 	r := m.ctrl.Fetch(m.ctx, block)
 	if r.Loop {
@@ -655,7 +602,6 @@ func (m *machine) prefetch(c *coreState, block uint64) {
 		if c.l2.Probe(pb) >= 0 || c.l1.Probe(pb) >= 0 {
 			continue
 		}
-		m.enterShared(c)
 		m.ctx.Now = uint64(c.cycles)
 		r := m.ctrl.Fetch(m.ctx, pb)
 		if r.Loop {
@@ -665,7 +611,7 @@ func (m *machine) prefetch(c *coreState, block uint64) {
 			m.bus.OnLLCMiss()
 		}
 		m.installL2(c, pb, false, r.Loop, false)
-		c.met.Prefetches++
+		m.ctx.Met.Prefetches++
 	}
 }
 
@@ -729,15 +675,12 @@ func (m *machine) installL2(c *coreState, block uint64, dirty, loop, shared bool
 	c.l2.Meta(set, way).SetShared(shared)
 }
 
-// onL2Evict routes an L2 victim to the inclusion controller. This is
-// reachable from otherwise-private walks (an L1 victim writeback can
-// allocate in the L2 and evict), so it is a shared-state entry point.
+// onL2Evict routes an L2 victim to the inclusion controller.
 func (m *machine) onL2Evict(c *coreState, v cache.Line) {
-	m.enterShared(c)
 	if m.moesi != nil && c.l1.Probe(v.Tag) < 0 {
 		m.moesi.Evict(c.id, v.Tag)
 	}
-	countL2Victim(c.met, v.Dirty)
+	countL2Victim(m.ctx.Met, v.Dirty)
 	if m.ctx.Prof != nil {
 		m.ctx.Prof.OnL2Evict(v.Tag, v.Dirty)
 	}

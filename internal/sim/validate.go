@@ -96,8 +96,6 @@ func (c Config) Validate() error {
 		return fieldErrf("MLP", "must be positive (got %g)", c.MLP)
 	case c.PrefetchDegree < 0 || c.PrefetchDegree > MaxPrefetchDegree:
 		return fieldErrf("PrefetchDegree", "prefetch degree must be in 0..%d (got %d)", MaxPrefetchDegree, c.PrefetchDegree)
-	case c.Banks < 0:
-		return fieldErrf("Banks", "worker banks must be non-negative (got %d)", c.Banks)
 	case c.MSHREntries < 0 || c.MSHREntries > MaxMSHREntries:
 		return fieldErrf("MSHREntries", "MSHR entries must be in 0..%d (got %d)", MaxMSHREntries, c.MSHREntries)
 	case c.UseDRAM && c.DRAM.Banks != 0 && (c.DRAM.Banks < 0 || c.DRAM.Banks > MaxDRAMBanks):
