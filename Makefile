@@ -26,7 +26,9 @@ bench:
 # trajectory (label "after" by default; override with LABEL=before to
 # record a baseline before starting a perf change). Each capture is
 # stamped with the current git revision; same label+rev replaces the
-# latest entry, anything else appends a new trajectory point.
+# latest entry, anything else appends a new trajectory point. This is a
+# manual capture: `make ci` does not run it, so a CI run never rewrites
+# the committed file with single iterations on an unrecorded host.
 LABEL ?= after
 BENCH_SUITE = 'BenchmarkSim|BenchmarkCacheLookup|BenchmarkLoopAwareVictim|BenchmarkWorkloadGen|BenchmarkFig14$$|BenchmarkFig14Sampled'
 bench-json:
@@ -87,7 +89,6 @@ ci:
 	$(MAKE) alloc-gate
 	$(MAKE) policy-smoke
 	$(GO) test -bench=BenchmarkFig14 -benchtime=1x -run '^$$' .
-	$(MAKE) bench-json
 	$(GO) run ./cmd/lapserved -smoke
 	$(MAKE) trace-smoke
 	$(MAKE) sample-smoke

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+	"strings"
 )
 
 // Machine-configuration serialisation: Config is a plain value struct, so
@@ -41,9 +43,10 @@ func LoadConfig(path string) (Config, error) {
 // ParseConfig decodes a (possibly partial) JSON machine configuration
 // overlaid on DefaultConfig, and validates it. Empty input yields the
 // defaults. The input must hold exactly one JSON object, and a key that
-// names no Config field is an error naming the key, so a misspelled or
-// retired setting is never silently ignored. This is the byte-level
-// core of LoadConfig, shared with the lapserved request decoder.
+// names no Config field is a *FieldError whose Field is the key, so a
+// misspelled or retired setting is never silently ignored. This is the
+// byte-level core of LoadConfig, shared with the lapserved request
+// decoder.
 func ParseConfig(data []byte) (Config, error) {
 	// Start from the defaults so omitted fields stay sane.
 	cfg := DefaultConfig()
@@ -56,6 +59,9 @@ func ParseConfig(data []byte) (Config, error) {
 				err = errors.New("unexpected data after the JSON object")
 			}
 		}
+		if key, ok := unknownKey(err); ok {
+			return Config{}, &FieldError{Field: key, Reason: fmt.Sprintf("unknown field %q", key)}
+		}
 		if err != nil {
 			return Config{}, fmt.Errorf("decoding config: %w", err)
 		}
@@ -64,6 +70,20 @@ func ParseConfig(data []byte) (Config, error) {
 		return Config{}, err
 	}
 	return cfg, nil
+}
+
+// unknownKey returns the key named by the error a json.Decoder with
+// DisallowUnknownFields reports for it, which has no type of its own.
+func unknownKey(err error) (string, bool) {
+	if err == nil {
+		return "", false
+	}
+	rest, ok := strings.CutPrefix(err.Error(), "json: unknown field ")
+	if !ok {
+		return "", false
+	}
+	key, uerr := strconv.Unquote(rest)
+	return key, uerr == nil
 }
 
 // ValidateConfig checks a configuration for the mistakes the simulator

@@ -184,6 +184,20 @@ func TestParseConfig(t *testing.T) {
 			t.Errorf("ParseConfig(%s) error = %v, want one containing %q", tc.in, err, tc.want)
 		}
 	}
+	// An unknown key is a *FieldError naming the key as sent, at any
+	// depth, so API layers can report it like a validation failure.
+	for _, tc := range []struct{ in, field string }{
+		{`{"Banks": 4}`, "Banks"},
+		{`{"Cores": 2, "L3SizeByte": 1048576}`, "L3SizeByte"},
+		{`{"DRAM": {"Banks": 8, "Rows": 4}}`, "Rows"},
+		{`{"with \"quote\"": 1}`, `with "quote"`},
+	} {
+		_, err := ParseConfig([]byte(tc.in))
+		var fe *FieldError
+		if !errors.As(err, &fe) || fe.Field != tc.field {
+			t.Errorf("ParseConfig(%s) error = %#v, want a *FieldError on %q", tc.in, err, tc.field)
+		}
+	}
 	// Trailing whitespace is fine.
 	if cfg, err := ParseConfig([]byte("{\"Cores\": 2}\n")); err != nil || cfg.Cores != 2 {
 		t.Fatalf("trailing newline: %+v, %v", cfg, err)

@@ -11,13 +11,19 @@
 // Each line is one 64-bit word (Meta): the block number in bits 0-57 and
 // the valid, dirty, loop, shared and 2-bit RRPV bits above it, so a probe
 // compares one masked word per way and victim choice and eviction read
-// only words the probe already loaded. Recency is a compact per-set LRU
-// ordering (one byte per way), so a touch is a byte shuffle instead of a
-// global-counter stamp write. A line costs 9 bytes in all. Line is not
-// stored: it is the value Evict and Invalidate assemble from a word.
+// only words the probe already loaded. Recency is a per-set LRU order of
+// way indices. A set of up to 16 ways keeps it as 4-bit ranks in one
+// word, so a touch is a nibble find and two shifts and the LRU way is the
+// low nibble; that covers every cache of the paper's machine, at 8 bytes
+// of order per set. A wider set keeps one byte per way, and a touch
+// shifts those bytes. Line is not stored: it is the value Evict and
+// Invalidate assemble from a word.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Meta is one line's whole state packed in a word: the block number in
 // bits 0-57, then the valid, dirty, loop and shared bits and the 2-bit
@@ -27,10 +33,14 @@ import "fmt"
 // through InsertAt/Evict/Invalidate/Reset.
 type Meta uint64
 
-// MaxWays is the highest associativity a cache supports: a set's
-// recency ordering stores way indices in bytes, and victim scans walk
-// one set at a time.
+// MaxWays is the highest associativity a cache supports: a wide set's
+// recency order stores way indices in bytes, a valid-way mask in a
+// snapshot is one word per set, and victim scans walk one set at a time.
 const MaxWays = 64
+
+// packedWays is the widest set whose recency order fits one word of
+// 4-bit ranks.
+const packedWays = 16
 
 // MaxBlock is the largest block number a line can hold. With blocks of at
 // least 64 bytes it covers every 64-bit address.
@@ -88,16 +98,27 @@ func (m *Meta) setRRPV(v uint8) { *m = *m&^(rrpvMax<<rrpvShift) | Meta(v)<<rrpvS
 
 // line unpacks the word into a Line.
 func (m Meta) line() Line {
-	return Line{Tag: uint64(m & blockMask), Valid: m.valid(), Dirty: m.Dirty(), Loop: m.Loop(), Shared: m.Shared()}
+	return Line{Tag: uint64(m & blockMask), LineFlags: LineFlags{
+		Valid: m&validBit != 0, Dirty: m&dirtyBit != 0, Loop: m&loopBit != 0, Shared: m&sharedBit != 0}}
 }
 
 // Line is one line's contents unpacked from its word: the value Evict and
 // Invalidate return and victims are handed on as. Tag holds the full
 // block number, which both identifies the block and lets a line be
 // re-expanded to its address.
+//
+// The flags sit in an embedded struct so that Line has two fields: the
+// compiler keeps a struct of at most four fields in registers. A Line
+// kept on the stack is built by byte stores and copied by a 16-byte
+// load, which cannot be forwarded from those stores and stalls Evict.
 type Line struct {
 	// Tag is the block number stored in this line.
 	Tag uint64
+	LineFlags
+}
+
+// LineFlags holds a Line's state bits.
+type LineFlags struct {
 	// Valid reports whether the line holds a block.
 	Valid bool
 	// Dirty, Loop and Shared are the line's Meta bits.
@@ -135,9 +156,16 @@ type Cache struct {
 	ways    int
 	// lines holds one word per line: lines[set*ways+way].
 	lines []Meta
-	// order holds the per-set recency ordering: order[set*ways+k] is the
-	// way at recency rank k, rank 0 being LRU and ways-1 being MRU.
-	order []uint8
+	// The recency order of a set names the way at each rank k, rank 0
+	// being LRU and ways-1 MRU. A cache of up to packedWays ways keeps
+	// it in packed, where nibble k of packed[set] is the way at rank k
+	// and the nibbles above rank ways-1 are zero; a wider one keeps it
+	// in order, where order[set*ways+k] is the way at rank k. The other
+	// slice is nil. rank and toMRU read and move either.
+	packed []uint64
+	order  []uint8
+	// mruShift is 4*(ways-1), the shift of the MRU rank's nibble.
+	mruShift uint
 	// fills is the running count of valid lines (see FillCount).
 	fills int
 
@@ -166,25 +194,62 @@ func New(cfg Config) *Cache {
 		panic(fmt.Sprintf("cache %q: SRAMWays %d out of range", cfg.Name, cfg.SRAMWays))
 	}
 	c := &Cache{
-		cfg:     cfg,
-		numSets: sets,
-		setMask: uint64(sets - 1),
-		ways:    cfg.Ways,
-		lines:   make([]Meta, sets*cfg.Ways),
-		order:   make([]uint8, sets*cfg.Ways),
+		cfg:      cfg,
+		numSets:  sets,
+		setMask:  uint64(sets - 1),
+		ways:     cfg.Ways,
+		lines:    make([]Meta, sets*cfg.Ways),
+		mruShift: 4 * uint(cfg.Ways-1),
+	}
+	if cfg.Ways <= packedWays {
+		c.packed = make([]uint64, sets)
+	} else {
+		c.order = make([]uint8, sets*cfg.Ways)
 	}
 	c.resetOrder()
 	return c
 }
 
-// resetOrder restores the identity recency ordering in every set.
+// resetOrder restores the identity recency order in every set.
 func (c *Cache) resetOrder() {
+	if c.packed != nil {
+		// Nibble k holds way k; the nibbles above rank ways-1 are zero.
+		unused := 4 * uint(packedWays-c.ways)
+		id := uint64(0xfedcba9876543210) << unused >> unused
+		for s := range c.packed {
+			c.packed[s] = id
+		}
+		return
+	}
 	for s := 0; s < c.numSets; s++ {
 		base := s * c.ways
 		for w := 0; w < c.ways; w++ {
 			c.order[base+w] = uint8(w)
 		}
 	}
+}
+
+// rank returns the way at recency rank k of set: rank 0 is the LRU way,
+// ways-1 the MRU way.
+func (c *Cache) rank(set, k int) int {
+	if c.packed != nil {
+		return int(c.packed[set] >> (4 * uint(k)) & 0xf)
+	}
+	return int(c.order[set*c.ways+k])
+}
+
+// nibbles has a one in every nibble.
+const nibbles = 0x1111111111111111
+
+// rankShift returns 4k for the rank k that way holds in packed order o;
+// the mask tells the compiler the shift is below 64.
+// The lowest zero nibble of o^(way in every nibble) is exact: a nibble
+// borrows only from a zero nibble below it, and the ranks below way's
+// hold other ways. Zero nibbles above rank ways-1 lie above way's rank.
+func rankShift(o uint64, way int) uint {
+	x := o ^ uint64(way)*nibbles
+	z := (x - nibbles) &^ x & (nibbles << 3)
+	return uint(bits.TrailingZeros64(z)) & 60
 }
 
 // Config returns the configuration the cache was built with.
@@ -242,23 +307,42 @@ func (c *Cache) Lookup(block uint64) int {
 		return -1
 	}
 	c.Hits++
-	c.touchIn(set, w)
+	// touchIn's two steps, so that toMRU's MRU check inlines here.
+	c.toMRU(set, w)
+	c.promote(set, w)
 	return w
 }
 
-// toMRU moves (set, way) to the MRU rank of its set's recency ordering.
+// toMRU moves (set, way) to the MRU rank of its set's recency order.
+// On a packed set the check for a way already at MRU is cheap enough to
+// inline; the move is not.
 func (c *Cache) toMRU(set, way int) {
+	if c.packed != nil && c.packed[set]>>c.mruShift == uint64(way) {
+		return
+	}
+	c.moveToMRU(set, way)
+}
+
+// moveToMRU moves (set, way) to the MRU rank.
+func (c *Cache) moveToMRU(set, way int) {
+	if c.packed != nil {
+		// The ranks above way's move down one; way takes rank ways-1,
+		// whose nibble the shift left zero.
+		o := c.packed[set]
+		below := uint64(1)<<rankShift(o, way) - 1
+		c.packed[set] = o&below | o>>4&^below | uint64(way)<<c.mruShift
+		return
+	}
 	base := set * c.ways
 	ord := c.order[base : base+c.ways]
-	w := uint8(way)
 	last := c.ways - 1
-	if ord[last] == w {
+	if int(ord[last]) == way {
 		return
 	}
 	for i, v := range ord {
-		if v == w {
+		if int(v) == way {
 			copy(ord[i:], ord[i+1:])
-			ord[last] = w
+			ord[last] = uint8(way)
 			return
 		}
 	}
@@ -268,6 +352,11 @@ func (c *Cache) toMRU(set, way int) {
 // immediate re-reference.
 func (c *Cache) touchIn(set, way int) {
 	c.toMRU(set, way)
+	c.promote(set, way)
+}
+
+// promote predicts an immediate re-reference of (set, way) under RRIP.
+func (c *Cache) promote(set, way int) {
 	if c.cfg.Replacement == ReplRRIP {
 		c.lines[set*c.ways+way].setRRPV(rrpvPromote)
 	}
@@ -281,13 +370,12 @@ func (c *Cache) Touch(set, way int) { c.touchIn(set, way) }
 // position, Ways()-1 its MRU. Exported for tests, which compare ranks of
 // valid lines relatively; invalid lines' ranks are unspecified.
 func (c *Cache) Stamp(set, way int) uint64 {
-	base := set * c.ways
-	for i := 0; i < c.ways; i++ {
-		if int(c.order[base+i]) == way {
-			return uint64(i)
+	for k := 0; k < c.ways; k++ {
+		if c.rank(set, k) == way {
+			return uint64(k)
 		}
 	}
-	panic("cache: way missing from recency ordering")
+	panic("cache: way missing from recency order")
 }
 
 // InsertAt places a block into (set, way), overwriting whatever was there,
@@ -354,9 +442,11 @@ func (c *Cache) Reset() {
 // simulation captures States during the profiling pass and restores
 // them before each measured interval, so a replay starts from the warm
 // state that trace position actually had rather than whatever an
-// earlier jump left behind.
+// earlier jump left behind. It keeps the recency order as the cache
+// does (packed or order), so Snapshot and Restore only copy.
 type State struct {
 	lines        []Meta
+	packed       []uint64
 	order        []uint8
 	sets         int
 	fills        int
@@ -368,13 +458,16 @@ type State struct {
 // recycled, so a periodic snapshotter allocates only once.
 func (c *Cache) Snapshot(reuse *State) *State {
 	s := reuse
-	if s == nil || len(s.lines) != len(c.lines) {
-		s = &State{
-			lines: make([]Meta, len(c.lines)),
-			order: make([]uint8, len(c.order)),
+	if s == nil || len(s.lines) != len(c.lines) || len(s.packed) != len(c.packed) {
+		s = &State{lines: make([]Meta, len(c.lines))}
+		if c.packed != nil {
+			s.packed = make([]uint64, len(c.packed))
+		} else {
+			s.order = make([]uint8, len(c.order))
 		}
 	}
 	copy(s.lines, c.lines)
+	copy(s.packed, c.packed)
 	copy(s.order, c.order)
 	s.sets, s.fills, s.hits, s.misses = c.numSets, c.fills, c.Hits, c.Misses
 	return s
@@ -388,6 +481,7 @@ func (c *Cache) Restore(s *State) {
 		panic(fmt.Sprintf("cache %q: restoring snapshot of different geometry", c.cfg.Name))
 	}
 	copy(c.lines, s.lines)
+	copy(c.packed, s.packed)
 	copy(c.order, s.order)
 	c.fills, c.Hits, c.Misses = s.fills, s.hits, s.misses
 }

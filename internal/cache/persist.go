@@ -26,9 +26,9 @@ const (
 // and State.Encode: live caches and detached snapshots hold the same
 // arrays. Checkpoints and profiles written by earlier builds must still
 // load, so the layout stays pinned: a tag array, a per-set valid bitmask
-// and the recency order, then each line again as its tag and a flag
-// byte.
-func encodeCacheArrays(e *wire.Encoder, lines []Meta, order []uint8, sets, fills int, hits, misses uint64) {
+// and the recency order as one byte per rank (written from packed when
+// order is nil), then each line again as its tag and a flag byte.
+func encodeCacheArrays(e *wire.Encoder, lines []Meta, packed []uint64, order []uint8, sets, fills int, hits, misses uint64) {
 	ways := len(lines) / sets
 	e.U64(uint64(len(lines)))
 	for _, l := range lines {
@@ -44,7 +44,16 @@ func encodeCacheArrays(e *wire.Encoder, lines []Meta, order []uint8, sets, fills
 		}
 		e.U64(vm)
 	}
-	e.Raw(order)
+	if packed != nil {
+		e.U64(uint64(len(lines)))
+		for _, o := range packed {
+			for k := 0; k < ways; k++ {
+				e.Byte(byte(o >> (4 * k) & 0xf))
+			}
+		}
+	} else {
+		e.Raw(order)
+	}
 	e.U64(uint64(len(lines)))
 	for _, l := range lines {
 		e.U64(uint64(l & blockMask))
@@ -72,7 +81,7 @@ func encodeCacheArrays(e *wire.Encoder, lines []Meta, order []uint8, sets, fills
 // EncodeSnapshot appends the cache's full contents — tags, valid bits,
 // recency order, line state, and hit/miss counters — to e.
 func (c *Cache) EncodeSnapshot(e *wire.Encoder) {
-	encodeCacheArrays(e, c.lines, c.order, c.numSets, c.fills, c.Hits, c.Misses)
+	encodeCacheArrays(e, c.lines, c.packed, c.order, c.numSets, c.fills, c.Hits, c.Misses)
 }
 
 // RestoreSnapshot overwrites the cache's contents from a snapshot
@@ -94,7 +103,7 @@ func (c *Cache) RestoreSnapshot(d *wire.Decoder) error {
 // Encode appends a detached snapshot to e in the same layout as
 // Cache.EncodeSnapshot.
 func (s *State) Encode(e *wire.Encoder) {
-	encodeCacheArrays(e, s.lines, s.order, s.sets, s.fills, s.hits, s.misses)
+	encodeCacheArrays(e, s.lines, s.packed, s.order, s.sets, s.fills, s.hits, s.misses)
 }
 
 // DecodeSnapshotState reads one cache snapshot into a detached State.
@@ -118,7 +127,7 @@ func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
 		return nil, fmt.Errorf("cache: snapshot arrays disagree: %d tags, %d order bytes, %d lines in %d sets",
 			len(tags), len(order), n, sets)
 	}
-	s := &State{lines: make([]Meta, n), order: order, sets: sets}
+	s := &State{lines: make([]Meta, n), sets: sets}
 	for i := range s.lines {
 		tag, f := d.U64(), d.Byte()
 		if err := d.Err(); err != nil {
@@ -149,8 +158,16 @@ func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	if err := s.checkSets(valid, ways); err != nil {
+	if err := s.checkSets(valid, order, ways); err != nil {
 		return nil, err
+	}
+	if ways > packedWays {
+		s.order = order
+		return s, nil
+	}
+	s.packed = make([]uint64, sets)
+	for i, w := range order {
+		s.packed[i/ways] |= uint64(w) << (4 * (i % ways))
 	}
 	return s, nil
 }
@@ -158,7 +175,7 @@ func DecodeSnapshotState(d *wire.Decoder) (*State, error) {
 // checkSets verifies the per-set invariants DecodeSnapshotState promises:
 // no valid bit beyond the last way, each recency order a permutation of
 // the set's ways, and fills equal to the number of valid bits.
-func (s *State) checkSets(valid []uint64, ways int) error {
+func (s *State) checkSets(valid []uint64, order []uint8, ways int) error {
 	fills := 0
 	for set, vm := range valid {
 		if vm>>uint(ways) != 0 {
@@ -166,7 +183,7 @@ func (s *State) checkSets(valid []uint64, ways int) error {
 		}
 		fills += bits.OnesCount64(vm)
 		var seen uint64
-		for _, w := range s.order[set*ways : (set+1)*ways] {
+		for _, w := range order[set*ways : (set+1)*ways] {
 			if int(w) >= ways || seen&(1<<w) != 0 {
 				return fmt.Errorf("cache: snapshot set %d recency order is not a permutation of its %d ways", set, ways)
 			}

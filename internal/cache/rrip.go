@@ -36,9 +36,9 @@ func (r Replacement) String() string {
 	return "LRU"
 }
 
-// rripVictimIn returns the SRRIP victim in [lo, hi): an invalid way if
-// any, else the first way at the maximum RRPV, ageing the range until one
-// exists.
+// rripVictimIn returns the SRRIP victim in [lo, hi): the first way in
+// way order that is invalid or at the maximum RRPV, ageing the range
+// until one exists. An invalid way after a distant one is not preferred.
 func (c *Cache) rripVictimIn(set, lo, hi int) int {
 	if lo >= hi {
 		panic("cache: empty victim range")
@@ -54,9 +54,10 @@ func (c *Cache) rripVictimIn(set, lo, hi int) int {
 	}
 }
 
-// rripLoopAwareVictimIn is the loop-block-aware SRRIP victim: an invalid
-// way, else the most-distant non-loop-block, else the most-distant
-// loop-block (ageing as needed).
+// rripLoopAwareVictimIn is the loop-block-aware SRRIP victim: the first
+// way in way order that is invalid or a non-loop-block at the maximum
+// RRPV, or, when every way holds a loop-block, the first one at the
+// maximum RRPV (ageing as needed).
 func (c *Cache) rripLoopAwareVictimIn(set, lo, hi int) int {
 	if lo >= hi {
 		panic("cache: empty victim range")

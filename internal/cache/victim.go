@@ -6,7 +6,7 @@ package cache
 // baseline is plain LRU. Both are provided as range-restricted primitives
 // so the hybrid LLC can apply them within its SRAM or STT-RAM way regions.
 //
-// Selectors consult the set's line words and its recency ordering.
+// Selectors consult the set's line words and its recency order.
 
 // VictimIn returns the victim way in [lo, hi) of the given set using plain
 // LRU: an invalid way if one exists, otherwise the least recently used.
@@ -18,13 +18,12 @@ func (c *Cache) VictimIn(set, lo, hi int) int {
 	if w := c.invalidIn(set, lo, hi); w >= 0 {
 		return w
 	}
-	base := set * c.ways
-	for _, w := range c.order[base : base+c.ways] {
-		if int(w) >= lo && int(w) < hi {
-			return int(w)
+	for k := 0; k < c.ways; k++ {
+		if w := c.rank(set, k); w >= lo && w < hi {
+			return w
 		}
 	}
-	panic("cache: victim range missing from recency ordering")
+	panic("cache: victim range missing from recency order")
 }
 
 // LoopAwareVictimIn returns the victim way in [lo, hi) using the paper's
@@ -38,15 +37,16 @@ func (c *Cache) LoopAwareVictimIn(set, lo, hi int) int {
 	}
 	base := set * c.ways
 	lruLoop := -1
-	for _, w := range c.order[base : base+c.ways] {
-		if int(w) < lo || int(w) >= hi {
+	for k := 0; k < c.ways; k++ {
+		w := c.rank(set, k)
+		if w < lo || w >= hi {
 			continue
 		}
-		if !c.lines[base+int(w)].Loop() {
-			return int(w)
+		if !c.lines[base+w].Loop() {
+			return w
 		}
 		if lruLoop < 0 {
-			lruLoop = int(w)
+			lruLoop = w
 		}
 	}
 	return lruLoop
@@ -63,9 +63,8 @@ func (c *Cache) LoopAwareVictim(set int) int { return c.LoopAwareVictimIn(set, 0
 // MRU loop-block to migrate from SRAM to STT-RAM (Fig. 11b).
 func (c *Cache) MRUWhere(set, lo, hi int, pred func(*Meta) bool) int {
 	base := set * c.ways
-	ord := c.order[base : base+c.ways]
-	for i := c.ways - 1; i >= 0; i-- {
-		w := int(ord[i])
+	for k := c.ways - 1; k >= 0; k-- {
+		w := c.rank(set, k)
 		if w < lo || w >= hi {
 			continue
 		}

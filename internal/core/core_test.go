@@ -34,9 +34,15 @@ func testCtx(sramWays int) *Ctx {
 	}
 }
 
-func cleanLine(block uint64) cache.Line { return cache.Line{Tag: block, Valid: true} }
-func dirtyLine(block uint64) cache.Line { return cache.Line{Tag: block, Valid: true, Dirty: true} }
-func loopLine(block uint64) cache.Line  { return cache.Line{Tag: block, Valid: true, Loop: true} }
+func cleanLine(block uint64) cache.Line {
+	return cache.Line{Tag: block, LineFlags: cache.LineFlags{Valid: true}}
+}
+func dirtyLine(block uint64) cache.Line {
+	return cache.Line{Tag: block, LineFlags: cache.LineFlags{Valid: true, Dirty: true}}
+}
+func loopLine(block uint64) cache.Line {
+	return cache.Line{Tag: block, LineFlags: cache.LineFlags{Valid: true, Loop: true}}
+}
 
 // --- Non-inclusive (Fig. 1b) ---
 

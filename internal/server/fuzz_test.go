@@ -25,20 +25,40 @@ func FuzzRunBody(f *testing.F) {
 		if rec.Code >= http.StatusInternalServerError {
 			t.Fatalf("body %q: status %d %s", body, rec.Code, rec.Body)
 		}
-		if rec.Code == http.StatusOK && !oneRunRequest(body) {
+		if rec.Code == http.StatusOK && !oneRequest[RunRequest](body) {
 			t.Fatalf("body %q is not exactly one RunRequest, yet was served 200", body)
 		}
 	})
 }
 
-// oneRunRequest reports whether body is one RunRequest with known
+// oneRequest reports whether body is one request of type T with known
 // fields followed by nothing but JSON whitespace.
-func oneRunRequest(body []byte) bool {
+func oneRequest[T any](body []byte) bool {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	var req RunRequest
+	var req T
 	if dec.Decode(&req) != nil {
 		return false
 	}
 	return strings.Trim(string(body[dec.InputOffset():]), " \t\r\n") == ""
+}
+
+// FuzzSweepBody is FuzzRunBody for /v1/sweep bodies: no panic, no 5xx,
+// and a 200 only for a body holding exactly one SweepRequest. The server
+// caps runs at 2000 accesses per core and admits at most 8 cells at
+// once (a larger grid is a 429), so that every admitted sweep is short;
+// seeds live in testdata/fuzz/FuzzSweepBody.
+func FuzzSweepBody(f *testing.F) {
+	s := New(Config{MaxAccesses: 2000, QueueDepth: 8, Jobs: 1})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", bytes.NewReader(body)))
+		if rec.Code >= http.StatusInternalServerError {
+			t.Fatalf("body %q: status %d %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code == http.StatusOK && !oneRequest[SweepRequest](body) {
+			t.Fatalf("body %q is not exactly one SweepRequest, yet was served 200", body)
+		}
+	})
 }

@@ -179,17 +179,26 @@ func TestRunValidation(t *testing.T) {
 			t.Fatalf("400 body does not name the %s field: %s", tc.field, body)
 		}
 	}
-	// A config key that names no Config field is a 400 naming the key,
-	// not silently dropped: Banks is a retired setting.
-	status, body := post(t, ts.URL+"/v1/run",
-		RunRequest{Mix: "WL1", Accesses: smallAccesses, Config: json.RawMessage(`{"Banks": 4}`)})
-	var ue errorResponse
-	if status != http.StatusBadRequest || json.Unmarshal(body, &ue) != nil || !strings.Contains(ue.Error, `"Banks"`) {
-		t.Fatalf("config with Banks: got %d %s, want a 400 naming Banks", status, body)
+	// A config key that names no Config field is a 400 whose field is
+	// the key, not silently dropped: Banks is a retired setting.
+	for _, tc := range []struct {
+		path string
+		req  any
+	}{
+		{"/v1/run", RunRequest{Mix: "WL1", Accesses: smallAccesses, Config: json.RawMessage(`{"Banks": 4}`)}},
+		{"/v1/sweep", SweepRequest{Mixes: []string{"WL1"}, Accesses: smallAccesses, Config: json.RawMessage(`{"Banks": 4}`)}},
+		{"/v1/sweep", SweepRequest{Mixes: []string{"WL1"}, Policies: []string{"LAP"}, Accesses: smallAccesses,
+			Config: json.RawMessage(`{"Banks": 4}`)}},
+	} {
+		status, body := post(t, ts.URL+tc.path, tc.req)
+		var ue errorResponse
+		if status != http.StatusBadRequest || json.Unmarshal(body, &ue) != nil || ue.Field != "Banks" {
+			t.Fatalf("%s config with Banks: got %d %s, want a 400 whose field is Banks", tc.path, status, body)
+		}
 	}
 	// A threaded run's thread count becomes its core count, so it has
 	// the same bound.
-	status, body = post(t, ts.URL+"/v1/run", RunRequest{Bench: "x264", Threads: 65, Accesses: smallAccesses})
+	status, body := post(t, ts.URL+"/v1/run", RunRequest{Bench: "x264", Threads: 65, Accesses: smallAccesses})
 	var fe errorResponse
 	if status != http.StatusBadRequest || json.Unmarshal(body, &fe) != nil || fe.Field != "threads" {
 		t.Fatalf("65 threads: got %d %s, want a 400 naming threads", status, body)

@@ -62,7 +62,7 @@ func allocReplayMachine(ctrl core.Controller, b workload.Benchmark, hybrid bool,
 	m := newReplayMachine(warm, ctrl, recs)
 	m.replayLoop()
 	c := m.cores[0]
-	c.rp.end, c.done = len(recs[0].acc), false
+	c.rp.acc, c.done = recs[0].acc, false
 	m.runAhead(c)
 	return m, c
 }

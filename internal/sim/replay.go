@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -303,24 +304,29 @@ func replay(cfg Config, ctrl core.Controller, recs []*Recording) Result {
 func newReplayMachine(cfg Config, ctrl core.Controller, recs []*Recording) *machine {
 	m := newMachine(cfg, ctrl)
 	for i, r := range recs {
-		end := len(r.acc)
-		if cfg.MaxAccessesPerCore > 0 && cfg.MaxAccessesPerCore < uint64(end) {
-			end = int(cfg.MaxAccessesPerCore)
+		acc := r.acc
+		if cfg.MaxAccessesPerCore > 0 && cfg.MaxAccessesPerCore < uint64(len(acc)) {
+			acc = acc[:cfg.MaxAccessesPerCore]
 		}
 		m.cores = append(m.cores, &coreState{id: i, rp: &replayCursor{
-			r: r, end: end, loop: make([]uint64, (uint64(r.fetches)+63)/64),
+			acc: acc, ops: r.ops, loopSrc: r.loopSrc,
+			loop: make([]uint64, (uint64(r.fetches)+63)/64),
 		}})
 	}
 	return m
 }
 
 // replayCursor is one core's position in its recording during a
-// replay, plus the FetchResult.Loop of every fetch replayed so far.
+// replay, plus the FetchResult.Loop of every fetch replayed so far. It
+// holds the recording's slices, acc cut at the run's MaxAccessesPerCore
+// bound.
 type replayCursor struct {
-	r                 *Recording
-	acc, end, op, src int
-	fetch             uint32
-	loop              []uint64 // bit f: fetch f's FetchResult.Loop
+	acc           []uint32
+	ops           []uint64
+	loopSrc       []uint32
+	next, op, src int
+	fetch         uint32
+	loop          []uint64 // bit f: fetch f's FetchResult.Loop
 }
 
 // replayLoop issues the recorded accesses in the serial loop's order.
@@ -348,11 +354,15 @@ func (m *machine) replayLoop() {
 		at[i] = pending(c)
 	}
 	for {
+		// The first core whose key is strictly below the lowest so far
+		// takes its place, so ties go to the lowest index. The borrow of
+		// at[j]-first is that comparison, applied as a mask.
 		first, i := at[0], 0
 		for j := 1; j < len(at); j++ {
-			if at[j] < first {
-				first, i = at[j], j
-			}
+			_, lt := bits.Sub64(at[j], first, 0)
+			mask := -lt
+			first ^= (first ^ at[j]) & mask
+			i ^= (i ^ j) & int(mask)
 		}
 		if first == math.MaxUint64 {
 			return
@@ -366,63 +376,77 @@ func (m *machine) replayLoop() {
 // replayStep issues core c's pending access, which issues LLC
 // operations, and runs c ahead to its next such access.
 func (m *machine) replayStep(c *coreState) {
-	r := c.rp
-	a := r.r.acc[r.acc]
-	r.acc++
-	m.replayAccess(c, a)
+	m.replayAccess(c)
 	m.runAhead(c)
 }
 
 // runAhead replays core c's accesses up to the next one that issues LLC
 // operations, and marks c done at the end of its recording (or of its
-// MaxAccessesPerCore bound).
+// MaxAccessesPerCore bound). A private-only access retires its
+// instructions and adds its stall from m.pen, as retire and stall do on
+// the direct walk; the clock, the instruction count and the L1/L2
+// counters stay in locals until the run ends.
 func (m *machine) runAhead(c *coreState) {
 	r := c.rp
-	acc := r.r.acc[:r.end]
-	for i := r.acc; i < len(acc); i++ {
-		a := acc[i]
+	cpi := m.cfg.BaseCPI
+	cycles, instrs := c.cycles, c.instrs
+	var l1Misses uint64
+	i := r.next
+	for ; i < len(r.acc); i++ {
+		a := r.acc[i]
 		if a>>accOpsShift != 0 {
-			r.acc = i
-			return
+			break
 		}
-		m.stall(c, m.replayPrivate(c, a), a&accWrite != 0)
+		n := uint16(a)
+		instrs += uint64(n)
+		cycles += cpi * float64(n)
+		cycles += m.pen[a>>penShift&3]
+		l1Misses += uint64(a >> accLevelShift & 1)
 	}
-	r.acc = len(acc)
-	c.done = true
-}
-
-// replayPrivate retires recorded access a of core c and counts what it
-// did in the private levels. It returns the access's latency without
-// the LLC's.
-func (m *machine) replayPrivate(c *coreState, a uint32) uint64 {
-	m.retire(c, uint16(a))
+	c.cycles, c.instrs = cycles, instrs
 	met := m.ctx.Met
-	met.L1Accesses++
-	if a>>accLevelShift&3 == 0 {
-		return m.cfg.L1Cycles
+	met.L1Accesses += uint64(i - r.next)
+	met.L1Misses += l1Misses
+	met.L2Accesses += l1Misses
+	r.next = i
+	if i == len(r.acc) {
+		c.done = true
 	}
-	met.L1Misses++
-	met.L2Accesses++
-	return m.cfg.L1Cycles + m.cfg.L2Cycles
 }
 
-// replayAccess retires recorded access a of core c, which issues LLC
+// penShift brings a recorded access's write flag and the low bit of its
+// serving level down to bits 0 and 1: the index of a private-only
+// access's stall in machine.pen.
+const penShift = 16
+
+// replayAccess retires core c's pending access, which issues LLC
 // operations: it counts what the access did in the private levels,
 // issues its LLC operations in recorded order and charges the stall the
 // direct walk would charge.
-func (m *machine) replayAccess(c *coreState, a uint32) {
+func (m *machine) replayAccess(c *coreState) {
 	r, met := c.rp, m.ctx.Met
-	lat := m.replayPrivate(c, a)
+	a := r.acc[r.next]
+	r.next++
+	m.retire(c, uint16(a))
+	met.L1Accesses++
+	lat := m.cfg.L1Cycles
 	// An access served by the LLC issues its demand fetch first; any
 	// later fetch is a prefetch.
-	demand := a>>accLevelShift&3 > 1
+	level := a >> accLevelShift & 3
+	demand := level > 1
+	if level > 0 {
+		met.L1Misses++
+		met.L2Accesses++
+		lat += m.cfg.L2Cycles
+	}
 	if demand {
 		met.L2Misses++
 	}
+	now := uint64(c.cycles)
 	for n := a >> accOpsShift; n > 0; n-- {
-		op := r.r.ops[r.op]
+		op := r.ops[r.op]
 		r.op++
-		m.ctx.Now = uint64(c.cycles)
+		m.ctx.Now = now
 		if op&opEvict == 0 {
 			res := m.ctrl.Fetch(m.ctx, op&opBlock)
 			if res.Loop {
@@ -437,9 +461,9 @@ func (m *machine) replayAccess(c *coreState, a uint32) {
 			}
 			continue
 		}
-		v := cache.Line{Tag: op & opBlock, Valid: true, Dirty: op&opDirty != 0}
+		v := cache.Line{Tag: op & opBlock, LineFlags: cache.LineFlags{Valid: true, Dirty: op&opDirty != 0}}
 		if op&opLoop != 0 {
-			f := r.r.loopSrc[r.src]
+			f := r.loopSrc[r.src]
 			r.src++
 			v.Loop = r.loop[f>>6]&(1<<(f&63)) != 0
 		}

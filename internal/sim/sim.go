@@ -143,6 +143,10 @@ type machine struct {
 	mem   *dram.Memory
 	moesi *coherence.Directory
 
+	// pen is cfg.penalties(), the stall of an access the private levels
+	// serve.
+	pen [4]float64
+
 	// Telemetry observation (nil on unobserved runs — the hot loop then
 	// pays one nil check per access). loopFills counts loop-classified
 	// fetches for the per-interval series.
@@ -270,7 +274,7 @@ func newMachine(cfg Config, ctrl core.Controller) *machine {
 	if cfg.MSHREntries > 0 {
 		ctx.MSHR = cache.NewMSHR(cfg.MSHREntries)
 	}
-	m := &machine{cfg: cfg, ctx: ctx, ctrl: ctrl}
+	m := &machine{cfg: cfg, ctx: ctx, ctrl: ctrl, pen: cfg.penalties()}
 	if cfg.UseDRAM {
 		dcfg := cfg.DRAM
 		if dcfg.Banks == 0 {
@@ -476,20 +480,47 @@ func (m *machine) retire(c *coreState, instrs uint16) {
 	c.cycles += m.cfg.BaseCPI * float64(instrs)
 }
 
-// stall charges core c for an access of latency lat: latency beyond the
-// (pipelined) L1 stalls the core, divided by the memory-level
+// stall charges core c for an access of latency lat. An access the
+// private levels serve adds its entry of m.pen; replay's runAhead adds
+// the same entries, so both loops add the same rounded values.
+func (m *machine) stall(c *coreState, lat uint64, write bool) {
+	w := 0
+	if write {
+		w = 1
+	}
+	switch lat {
+	case m.cfg.L1Cycles:
+		c.cycles += m.pen[w]
+	case m.cfg.L1Cycles + m.cfg.L2Cycles:
+		c.cycles += m.pen[2|w]
+	default:
+		c.cycles += m.cfg.penalty(lat, write)
+	}
+}
+
+// penalty returns the stall of an access of latency lat: latency beyond
+// the (pipelined) L1 stalls the core, divided by the memory-level
 // parallelism the OoO window extracts; stores stall only for the
 // un-buffered fraction.
-func (m *machine) stall(c *coreState, lat uint64, write bool) {
-	cfg := &m.cfg
-	penalty := 0.0
-	if lat > cfg.L1Cycles {
-		penalty = float64(lat-cfg.L1Cycles) / cfg.MLP
+func (c *Config) penalty(lat uint64, write bool) float64 {
+	p := 0.0
+	if lat > c.L1Cycles {
+		p = float64(lat-c.L1Cycles) / c.MLP
 		if write {
-			penalty *= cfg.StoreStallFrac
+			p *= c.StoreStallFrac
 		}
 	}
-	c.cycles += penalty
+	return p
+}
+
+// penalties returns the stall of an access served by the L1 (entries 0
+// and 1) or the L2 (entries 2 and 3), a store in the odd entries.
+func (c *Config) penalties() [4]float64 {
+	var pen [4]float64
+	for i := range pen {
+		pen[i] = c.penalty(c.L1Cycles+uint64(i>>1)*c.L2Cycles, i&1 != 0)
+	}
+	return pen
 }
 
 // stepFunctional processes one access with the clock frozen: the full

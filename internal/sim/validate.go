@@ -33,9 +33,11 @@ const MaxPrefetchDegree = 16
 
 // Machine-size bounds. They admit every artifact's machine (the largest
 // has 8 cores, 1 MiB L2s and a 24 MiB LLC) and bound one run's
-// cache-line state at 9 B per line to about 120 MiB, so no accepted
-// configuration can exhaust the host building its caches. A sampled run
-// holds a few more copies of that state: its profile's snapshots.
+// cache-line state to about 210 MiB (16 B per line at most: a line's
+// word and, on a direct-mapped cache, its set's recency word; 9 B per
+// line above 16 ways, 8.5 B at 16), so no accepted configuration can
+// exhaust the host building its caches. A sampled run holds a few more
+// copies of that state: its profile's snapshots.
 const (
 	// MaxCores bounds Config.Cores, and so a threaded run's threads.
 	MaxCores = 64
