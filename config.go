@@ -9,6 +9,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // Machine-configuration serialisation: Config is a plain value struct, so
@@ -48,24 +49,33 @@ func LoadConfig(path string) (Config, error) {
 // byte-level core of LoadConfig, shared with the lapserved request
 // decoder.
 func ParseConfig(data []byte) (Config, error) {
+	if len(data) == 0 {
+		return parsedDefault()
+	}
 	// Start from the defaults so omitted fields stay sane.
 	cfg := DefaultConfig()
-	if len(data) > 0 {
-		dec := json.NewDecoder(bytes.NewReader(data))
-		dec.DisallowUnknownFields()
-		err := dec.Decode(&cfg)
-		if err == nil {
-			if _, tokErr := dec.Token(); tokErr != io.EOF {
-				err = errors.New("unexpected data after the JSON object")
-			}
-		}
-		if key, ok := unknownKey(err); ok {
-			return Config{}, &FieldError{Field: key, Reason: fmt.Sprintf("unknown field %q", key)}
-		}
-		if err != nil {
-			return Config{}, fmt.Errorf("decoding config: %w", err)
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&cfg)
+	if err == nil {
+		if _, tokErr := dec.Token(); tokErr != io.EOF {
+			err = errors.New("unexpected data after the JSON object")
 		}
 	}
+	if key, ok := unknownKey(err); ok {
+		return Config{}, &FieldError{Field: key, Reason: fmt.Sprintf("unknown field %q", key)}
+	}
+	if err != nil {
+		return Config{}, fmt.Errorf("decoding config: %w", err)
+	}
+	return validated(cfg)
+}
+
+// parsedDefault is ParseConfig of empty input, validated once: lapserved
+// parses an absent "config" on every request.
+var parsedDefault = sync.OnceValues(func() (Config, error) { return validated(DefaultConfig()) })
+
+func validated(cfg Config) (Config, error) {
 	if err := ValidateConfig(cfg); err != nil {
 		return Config{}, err
 	}

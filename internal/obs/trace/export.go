@@ -147,7 +147,7 @@ func attrMap(attrs []Attr) map[string]any {
 	}
 	m := make(map[string]any, len(attrs))
 	for _, a := range attrs {
-		m[a.Key] = a.Value
+		m[a.Key] = a.Value()
 	}
 	return m
 }

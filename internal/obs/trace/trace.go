@@ -27,6 +27,7 @@ package trace
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,20 +52,54 @@ const (
 	PhaseInstant = 'i'
 )
 
-// Attr is one key/value attribute on a span or counter event. Value must
-// be a string, bool, or any integer/float type — the JSON exporters
-// marshal it as-is.
+// Attr is one key/value attribute on a span or counter event: a string,
+// bool, integer or float held unboxed, so building one allocates
+// nothing. Value returns it as the JSON exporters marshal it.
 type Attr struct {
-	Key   string
-	Value any
+	Key  string
+	kind attrKind
+	num  uint64 // Int, Uint, Bool (0 or 1) and Float (IEEE bits) values
+	str  string
 }
 
+type attrKind uint8
+
+const (
+	kindStr attrKind = iota
+	kindInt
+	kindUint
+	kindBool
+	kindFloat
+)
+
 // Str, Int, Uint, Bool, and Float construct Attrs.
-func Str(k, v string) Attr           { return Attr{Key: k, Value: v} }
-func Int(k string, v int64) Attr     { return Attr{Key: k, Value: v} }
-func Uint(k string, v uint64) Attr   { return Attr{Key: k, Value: v} }
-func Bool(k string, v bool) Attr     { return Attr{Key: k, Value: v} }
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
+func Str(k, v string) Attr           { return Attr{Key: k, kind: kindStr, str: v} }
+func Int(k string, v int64) Attr     { return Attr{Key: k, kind: kindInt, num: uint64(v)} }
+func Uint(k string, v uint64) Attr   { return Attr{Key: k, kind: kindUint, num: v} }
+func Float(k string, v float64) Attr { return Attr{Key: k, kind: kindFloat, num: math.Float64bits(v)} }
+func Bool(k string, v bool) Attr {
+	a := Attr{Key: k, kind: kindBool}
+	if v {
+		a.num = 1
+	}
+	return a
+}
+
+// Value returns the attribute's value as a string, int64, uint64, bool
+// or float64.
+func (a Attr) Value() any {
+	switch a.kind {
+	case kindInt:
+		return int64(a.num)
+	case kindUint:
+		return a.num
+	case kindBool:
+		return a.num != 0
+	case kindFloat:
+		return math.Float64frombits(a.num)
+	}
+	return a.str
+}
 
 // Event is one recorded trace event. Spans (PhaseSpan) carry Dur and the
 // span/parent IDs; counters (PhaseCounter) carry numeric Attrs sampled
@@ -89,7 +124,9 @@ type Event struct {
 type Tracer struct {
 	enabled atomic.Bool
 	seq     atomic.Uint64 // span and event IDs
+	gen     atomic.Uint64 // advanced by Reset; older spans record nothing
 	epoch   time.Time
+	zero    atomic.Int64 // Now's origin in µs since epoch, moved by Reset
 
 	mu sync.Mutex
 	// buf holds the resident events. It grows by appending until it
@@ -116,6 +153,11 @@ const DefaultCapacity = 1 << 16
 // minRing is the ring's first allocation, enough for a traced request's
 // handful of spans.
 const minRing = 8
+
+// keepRing bounds the ring storage Reset keeps for reuse: a request
+// that recorded more gives its ring back to the garbage collector, so a
+// recycled tracer costs what a typical request records.
+const keepRing = 64
 
 // New returns an enabled tracer whose ring holds at most capacity
 // events (capacity <= 0 selects DefaultCapacity). The ring is allocated
@@ -151,13 +193,35 @@ func (t *Tracer) SetEnabled(on bool) {
 	}
 }
 
+// Reset readies a tracer that nothing else records into for reuse, as
+// if it were new: it drops the resident events and track names,
+// restarts IDs, Seq and the clock, and arms the tracer. A span opened
+// before the reset records nothing, even if it ends after it. The ring
+// keeps its storage up to keepRing events.
+func (t *Tracer) Reset() {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if cap(t.buf) > keepRing {
+		t.buf = nil
+	} else {
+		clear(t.buf)
+		t.buf = t.buf[:0]
+	}
+	t.next, t.dropped = 0, 0
+	clear(t.tracks)
+	t.seq.Store(0)
+	t.gen.Add(1)
+	t.zero.Store(time.Since(t.epoch).Microseconds())
+	t.enabled.Store(true)
+}
+
 // Now returns the tracer's wall-clock timestamp: microseconds since the
-// tracer was constructed.
+// tracer was constructed or last Reset.
 func (t *Tracer) Now() int64 {
 	if t == nil {
 		return 0
 	}
-	return time.Since(t.epoch).Microseconds()
+	return time.Since(t.epoch).Microseconds() - t.zero.Load()
 }
 
 // NextID allocates a fresh span/track ID.
@@ -185,12 +249,16 @@ func (t *Tracer) NameTrack(pid int, track uint64, name string) {
 // overwriting the oldest event. ev.Seq is assigned here; callers fill
 // the rest.
 func (t *Tracer) Emit(ev Event) {
-	if !t.Enabled() {
-		return
+	if t.Enabled() {
+		t.emit(ev, t.gen.Load())
 	}
+}
+
+// emit records ev for generation gen of the tracer.
+func (t *Tracer) emit(ev Event, gen uint64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.enabled.Load() { // disarmed while this call waited for mu
+	if !t.enabled.Load() || t.gen.Load() != gen { // disarmed or Reset while this call waited for mu
 		return
 	}
 	ev.Seq = t.seq.Add(1)
@@ -247,13 +315,19 @@ func (t *Tracer) Dropped() uint64 {
 // free.
 type Span struct {
 	t      *Tracer
+	gen    uint64 // the tracer's generation when the span opened
 	name   string
 	id     uint64
 	parent uint64
 	track  uint64
 	start  int64
 	attrs  []Attr
+	inline [spanAttrs]Attr // attrs' storage while the span has few
 }
+
+// spanAttrs is how many attributes a span holds without allocating: a
+// request's root span and a retry attempt carry four each.
+const spanAttrs = 4
 
 type ctxKey struct{}
 
@@ -278,23 +352,34 @@ func (t *Tracer) Root(ctx context.Context, name string, attrs ...Attr) (context.
 		return ctx, nil
 	}
 	id := t.NextID()
-	s := &Span{t: t, name: name, id: id, track: id, start: t.Now(), attrs: attrs}
+	s := t.open(name, id, 0, id, t.gen.Load(), attrs)
 	return WithSpan(ctx, s), s
+}
+
+// open starts a span of generation gen, copying its attributes.
+func (t *Tracer) open(name string, id, parent, track, gen uint64, attrs []Attr) *Span {
+	s := &Span{t: t, gen: gen, name: name, id: id, parent: parent, track: track}
+	s.attrs = append(s.inline[:0], attrs...)
+	s.start = t.Now()
+	return s
 }
 
 // Start opens a child of ctx's current span, inheriting its track.
 // Returns (ctx, nil) — zero further cost — when ctx carries no span.
 func Start(ctx context.Context, name string, attrs ...Attr) (context.Context, *Span) {
-	parent := FromContext(ctx)
-	if parent == nil || !parent.t.Enabled() {
-		return ctx, nil
-	}
-	s := &Span{
-		t: parent.t, name: name, id: parent.t.NextID(),
-		parent: parent.id, track: parent.track,
-		start: parent.t.Now(), attrs: attrs,
-	}
+	s := FromContext(ctx).Child(name, attrs...)
 	return WithSpan(ctx, s), s
+}
+
+// Child opens a child of s on s's track without building a context: a
+// leaf span needs none, and a caller that needs one only sometimes
+// attaches the span with WithSpan then. Nil when s is nil, its tracer
+// is disarmed, or its tracer was Reset after s opened.
+func (s *Span) Child(name string, attrs ...Attr) *Span {
+	if s == nil || !s.t.Enabled() || s.t.gen.Load() != s.gen {
+		return nil
+	}
+	return s.t.open(name, s.t.NextID(), s.id, s.track, s.gen, attrs)
 }
 
 // SetAttr appends attributes to the span (call before End).
@@ -317,12 +402,12 @@ func (s *Span) ID() uint64 {
 // End records the span as a complete event. Safe to call on a nil span;
 // calling twice records twice (don't).
 func (s *Span) End() {
-	if s == nil {
+	if s == nil || !s.t.Enabled() {
 		return
 	}
-	s.t.Emit(Event{
+	s.t.emit(Event{
 		Phase: PhaseSpan, Name: s.name, Pid: PidWall,
 		Track: s.track, TS: s.start, Dur: s.t.Now() - s.start,
 		ID: s.id, Parent: s.parent, Attrs: s.attrs,
-	})
+	}, s.gen)
 }

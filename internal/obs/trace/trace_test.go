@@ -329,3 +329,65 @@ func BenchmarkEmitEnabled(b *testing.B) {
 		tr.Emit(Event{Phase: PhaseInstant, Name: "e"})
 	}
 }
+
+// TestResetStartsOverAndFencesOlderSpans pins what lapserved relies on
+// when it recycles a request's tracer: after Reset the tracer records
+// and numbers as a new one does, and a span opened before the reset
+// records nothing and opens no children, even though the tracer is
+// armed again.
+func TestResetStartsOverAndFencesOlderSpans(t *testing.T) {
+	tr := New(64)
+	ctx, root := tr.Root(context.Background(), "request", Str("id", "r1"))
+	_, late := Start(ctx, "late")
+	root.End()
+	tr.NameTrack(PidWall, root.ID(), "r1")
+	tr.SetEnabled(false)
+
+	tr.Reset()
+	if tr.Len() != 0 || tr.Dropped() != 0 || !tr.Enabled() {
+		t.Fatalf("after Reset: %d events, %d dropped, enabled %v", tr.Len(), tr.Dropped(), tr.Enabled())
+	}
+	late.End()
+	if c := root.Child("orphan"); c != nil {
+		t.Fatal("a span from before Reset opened a child")
+	}
+	if tr.Len() != 0 {
+		t.Fatalf("a span opened before Reset was recorded after it: %+v", tr.Events())
+	}
+
+	fresh := New(64)
+	for _, x := range []*Tracer{tr, fresh} {
+		ctx, root := x.Root(context.Background(), "request", Str("id", "r2"))
+		_, child := Start(ctx, "attempt", Int("n", 0))
+		child.End()
+		root.End()
+	}
+	got, want := tr.Events(), fresh.Events()
+	if len(got) != len(want) {
+		t.Fatalf("reset tracer holds %d events, a new one %d", len(got), len(want))
+	}
+	for i := range got {
+		g, w := got[i], want[i]
+		if g.Seq != w.Seq || g.ID != w.ID || g.Parent != w.Parent || g.Track != w.Track || g.Name != w.Name {
+			t.Errorf("event %d: reset tracer %+v, new tracer %+v", i, g, w)
+		}
+	}
+	if meta := trackMeta(tr); len(meta) != 0 {
+		t.Errorf("track names survived Reset: %+v", meta)
+	}
+}
+
+// TestAttrValues pins the exported value of each attribute kind.
+func TestAttrValues(t *testing.T) {
+	for _, c := range []struct {
+		a    Attr
+		want any
+	}{
+		{Str("s", "x"), "x"}, {Int("i", -3), int64(-3)}, {Uint("u", 1<<63), uint64(1 << 63)},
+		{Bool("t", true), true}, {Bool("f", false), false}, {Float("x", 0.25), 0.25},
+	} {
+		if got := c.a.Value(); got != c.want {
+			t.Errorf("%s: Value() = %#v, want %#v", c.a.Key, got, c.want)
+		}
+	}
+}

@@ -148,9 +148,12 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if s.traces != nil {
-			for _, t := range s.traces.recent(bundleTraceMax) {
-				if err := add("traces/"+t.id+".json", t.tr.ChromeJSON()); err != nil {
-					return err
+			for _, id := range s.traces.recent(bundleTraceMax) {
+				// A trace evicted since recent returned is skipped.
+				if data, ok := s.traces.render(id); ok {
+					if err := add("traces/"+id+".json", data); err != nil {
+						return err
+					}
 				}
 			}
 		}

@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // FuzzRunBody drives arbitrary /v1/run bodies through the handler. The
@@ -59,6 +61,42 @@ func FuzzSweepBody(f *testing.F) {
 		}
 		if rec.Code == http.StatusOK && !oneRequest[SweepRequest](body) {
 			t.Fatalf("body %q is not exactly one SweepRequest, yet was served 200", body)
+		}
+	})
+}
+
+// FuzzTracesBody drives arbitrary plain or gzipped bodies through
+// /v1/traces uploads. The server must never panic or answer 5xx, and it
+// may answer 200 only to a body that the trace codec (NewAutoReader and
+// Drain) decodes to at least one record without error; the 200 must
+// then report that record count. Uploads are bounded at 1 KiB (92
+// records) and kept in memory; seeds live in
+// testdata/fuzz/FuzzTracesBody.
+func FuzzTracesBody(f *testing.F) {
+	s := New(Config{MaxTraceBytes: 1 << 10})
+	h := s.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/traces?name=f", bytes.NewReader(body)))
+		if rec.Code >= http.StatusInternalServerError {
+			t.Fatalf("body %q: status %d %s", body, rec.Code, rec.Body)
+		}
+		if rec.Code != http.StatusOK {
+			return
+		}
+		var records int
+		if tr, err := trace.NewAutoReader(bytes.NewReader(body)); err == nil {
+			records = len(trace.Drain(tr))
+			if tr.Err() != nil {
+				records = 0
+			}
+		}
+		var resp TraceUploadResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("body %q: 200 with undecodable response %s", body, rec.Body)
+		}
+		if records == 0 || resp.Records != uint64(records) {
+			t.Fatalf("body %q decodes to %d records, yet was served 200 reporting %d", body, records, resp.Records)
 		}
 	})
 }
