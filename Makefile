@@ -40,9 +40,10 @@ bench-json:
 # path must not allocate: TestAccessAllocsZero enforces it per
 # controller; the awk pass double-checks that every reported
 # BenchmarkAccessAllocs* line says exactly 0 allocs/op (and that at least
-# one such line was produced). The serving hot path has a byte budget:
-# TestWarmRunAllocBudget holds a memo-recalled /v1/run, traced as
-# lapserved traces it by default, to 64 KiB allocated per request.
+# one such line was produced). The serving hot path has a budget:
+# TestWarmRunAllocBudget holds a memo-recalled /v1/run, traced and
+# logged as lapserved does by default, to 13 KiB and 45 allocations per
+# request, counting the test's own httptest request and recorder.
 alloc-gate:
 	$(GO) test -run TestAccessAllocsZero ./internal/sim
 	$(GO) test -run TestWarmRunAllocBudget ./internal/server
