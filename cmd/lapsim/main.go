@@ -52,9 +52,7 @@ func main() {
 	interval := flag.Uint64("interval", 10_000, "telemetry window for -trace, in accesses summed over cores")
 	useDRAM := flag.Bool("dram", false, "use the DDR3-1600 row-buffer memory model")
 	warmup := flag.Uint64("warmup", 0, "per-core warmup accesses excluded from statistics")
-	moesi := flag.Bool("moesi", false, "track the MOESI reference protocol (threaded runs)")
 	prefetch := flag.Int("prefetch", 0, "next-N-line L2 prefetch degree")
-	mshr := flag.Int("mshr", 0, "MSHR entries per LLC miss path (0 = unbounded, the pre-MSHR model)")
 	configPath := flag.String("config", "", "JSON machine configuration to start from")
 	metricsFile := flag.String("metrics", "", "write a Prometheus text exposition of the run's counters to this file")
 	mode := flag.String("mode", "exact", "simulation mode: exact (default) or sampled — interval-sampled simulation; -interval is then the window length in accesses per core")
@@ -102,12 +100,8 @@ func main() {
 	if *warmup > 0 {
 		cfg.WarmupAccessesPerCore = *warmup
 	}
-	cfg.TrackMOESI = cfg.TrackMOESI || *moesi
 	if *prefetch > 0 {
 		cfg.PrefetchDegree = *prefetch
-	}
-	if *mshr > 0 {
-		cfg.MSHREntries = *mshr
 	}
 	sampled := false
 	switch *mode {
@@ -385,14 +379,6 @@ func report(r lap.Result) {
 	if r.DRAM.Reads+r.DRAM.Writes > 0 {
 		fmt.Printf("DRAM              row hits %d, closed %d, conflicts %d (hit rate %.1f%%)\n",
 			r.DRAM.RowHits, r.DRAM.RowClosed, r.DRAM.RowConflicts, 100*r.DRAM.HitRate())
-	}
-	if r.MOESIOccupancy != nil {
-		fmt.Printf("MOESI             occupancy %v, cache supplies %d, invalidations %d",
-			r.MOESIOccupancy, r.MOESI.CacheSupplies, r.MOESI.Invalidations)
-		if r.MOESIViolation != "" {
-			fmt.Printf("  VIOLATION: %s", r.MOESIViolation)
-		}
-		fmt.Println()
 	}
 	fmt.Printf("per-core IPC     ")
 	for _, ipc := range r.IPCs {

@@ -70,14 +70,24 @@ func TestLoadConfigErrors(t *testing.T) {
 		t.Fatalf("invalid config error is not a *FieldError naming Cores: %v", err)
 	}
 	// A key that names no Config field — a typo, or a setting the
-	// simulator no longer has — fails the load and is named.
-	for _, key := range []string{"L3SizeByte", "Banks"} {
+	// simulator no longer has — fails the load as a *FieldError naming
+	// the key.
+	for _, tc := range []struct{ body, key string }{
+		{`{"L3SizeByte": 4}`, "L3SizeByte"},
+		{`{"Banks": 4}`, "Banks"},
+		{`{"MSHREntries": 8}`, "MSHREntries"},
+		{`{"TrackMOESI": true}`, "TrackMOESI"},
+	} {
 		unknown := filepath.Join(t.TempDir(), "unknown.json")
-		if err := writeFile(unknown, `{"`+key+`": 4}`); err != nil {
+		if err := writeFile(unknown, tc.body); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadConfig(unknown); err == nil || !strings.Contains(err.Error(), `"`+key+`"`) {
-			t.Fatalf("config with unknown key %s: error = %v", key, err)
+		_, err := LoadConfig(unknown)
+		if err == nil || !strings.Contains(err.Error(), `"`+tc.key+`"`) {
+			t.Fatalf("config with unknown key %s: error = %v", tc.key, err)
+		}
+		if !errors.As(err, &fe) || fe.Field != tc.key {
+			t.Fatalf("config with unknown key %s: error is not a *FieldError naming it: %v", tc.key, err)
 		}
 	}
 }
@@ -114,7 +124,6 @@ func TestValidateConfig(t *testing.T) {
 		{"L3SizeBytes", func(c *Config) { c.L3SizeBytes = 1 << 30 }},
 		{"L3SizeBytes", func(c *Config) { c.L3SizeBytes = 64 << 30 }},
 		{"L3Banks", func(c *Config) { c.L3Banks = 1 << 40 }},
-		{"MSHREntries", func(c *Config) { c.MSHREntries = 1 << 33 }},
 		{"DRAM", func(c *Config) { c.UseDRAM, c.DRAM.Banks, c.DRAM.RowBytes, c.DRAM.BlockBytes = true, 1<<33, 8192, 64 }},
 		{"DRAM", func(c *Config) { c.UseDRAM, c.DRAM.Banks, c.DRAM.RowBytes, c.DRAM.BlockBytes = true, 8, 32, 64 }},
 	}
@@ -173,7 +182,8 @@ func TestParseConfig(t *testing.T) {
 	}
 	// Unknown keys and anything after the object are errors, not
 	// silently dropped: a misspelled L3SizeBytes would otherwise run the
-	// default LLC, and Banks is a retired setting.
+	// default LLC, and Banks, MSHREntries and TrackMOESI are retired
+	// settings.
 	for _, tc := range []struct{ in, want string }{
 		{`{"L3SizeByte": 1048576}`, `unknown field "L3SizeByte"`},
 		{`{"Banks": 4}`, `unknown field "Banks"`},
@@ -188,6 +198,8 @@ func TestParseConfig(t *testing.T) {
 	// depth, so API layers can report it like a validation failure.
 	for _, tc := range []struct{ in, field string }{
 		{`{"Banks": 4}`, "Banks"},
+		{`{"MSHREntries": 8}`, "MSHREntries"},
+		{`{"TrackMOESI": true}`, "TrackMOESI"},
 		{`{"Cores": 2, "L3SizeByte": 1048576}`, "L3SizeByte"},
 		{`{"DRAM": {"Banks": 8, "Rows": 4}}`, "Rows"},
 		{`{"with \"quote\"": 1}`, `with "quote"`},

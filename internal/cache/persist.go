@@ -1,9 +1,9 @@
 package cache
 
-// Durable-state codecs. Checkpointing serializes live caches, dueling
-// monitors, and MSHR tables into the wire format; the codecs live here
-// because State's arrays and the RRPV bits are unexported by design. The
-// layout is pinned by the checkpoint format version one level up — no
+// Durable-state codecs. Checkpointing serializes live caches and dueling
+// monitors into the wire format; the codecs live here because State's
+// arrays and the RRPV bits are unexported by design. The layout is
+// pinned by the checkpoint format version one level up — no
 // per-structure versioning is needed.
 
 import (
@@ -238,33 +238,5 @@ func (d *Duel) DecodeState(dec *wire.Decoder) error {
 		return fmt.Errorf("cache: duel winner %d out of range", s.Winner)
 	}
 	d.SetState(s)
-	return nil
-}
-
-// EncodeState appends the MSHR table's outstanding-fill state to e.
-func (t *MSHR) EncodeState(e *wire.Encoder) {
-	e.U64s(t.blocks)
-	e.U64s(t.readyAt)
-	e.I64(int64(t.pending))
-}
-
-// DecodeState restores the table from e. The register count must match
-// the table's configured size.
-func (t *MSHR) DecodeState(d *wire.Decoder) error {
-	blocks := d.U64s()
-	readyAt := d.U64s()
-	pending := int(d.I64())
-	if err := d.Err(); err != nil {
-		return err
-	}
-	if len(blocks) != len(t.blocks) || len(readyAt) != len(t.readyAt) {
-		return fmt.Errorf("cache: MSHR size mismatch (%d regs, snapshot has %d)", len(t.blocks), len(blocks))
-	}
-	if pending < -1 || pending >= len(t.blocks) {
-		return fmt.Errorf("cache: MSHR pending slot %d out of range", pending)
-	}
-	copy(t.blocks, blocks)
-	copy(t.readyAt, readyAt)
-	t.pending = pending
 	return nil
 }

@@ -5,12 +5,15 @@ import "fmt"
 // Full MOESI protocol engine. The Bus in this package is a lightweight
 // traffic approximation; Directory is the complete reference protocol
 // (the paper's gem5 baseline runs MOESI snooping), implemented as a
-// directory over per-block sharer state. It is self-contained and
-// usable as a drop-in coherence substrate: callers drive it with Read,
+// directory over per-block sharer state. Callers drive it with Read,
 // Write and Evict and receive the actions (data source, invalidations,
-// writebacks) the protocol mandates. Property tests assert the MOESI
-// invariants: a single writable owner, no stale readers alongside a
-// modifier, and no dirty data lost on eviction.
+// writebacks) the protocol mandates. No simulation runs it: it is the
+// reference that internal/sim's TestSnoopBusAgreesWithMOESIDirectory
+// drives beside a coherent run, to check that every core holding a
+// block is valid in the directory and that at most one holds it dirty.
+// Property tests assert the MOESI invariants: a single writable owner,
+// no stale readers alongside a modifier, and no dirty data lost on
+// eviction.
 
 // MOESIState is one cache's state for a block.
 type MOESIState uint8

@@ -74,10 +74,6 @@ type Ctx struct {
 	// row-buffer model in internal/dram); it receives the block number,
 	// the current cycle, and whether the access is a write.
 	MemAccess func(block, now uint64, write bool) uint64
-	// MSHR, when non-nil, bounds outstanding LLC misses: concurrent
-	// misses to the same block merge with the in-flight fill, and a full
-	// table stalls new misses (Config.MSHREntries).
-	MSHR *cache.MSHR
 	// Now is the requesting core's current cycle.
 	Now uint64
 	// BackInvalidate, set by the simulator, removes the block from every
@@ -91,7 +87,7 @@ type Ctx struct {
 	// sampled simulation: cache state (tags, recency, loop bits, dueling)
 	// still updates through the normal controller paths, and the cheap
 	// event counters in Met keep counting (interval signatures need them),
-	// but energy metering, bank/DRAM timing, and the MSHR are skipped —
+	// but energy metering and bank/DRAM timing are skipped —
 	// their state must not drift while the clock is frozen.
 	Functional bool
 }
@@ -144,35 +140,14 @@ func (x *Ctx) dataWrite(set, way int) uint64 {
 	return x.Banks.Access(set, x.Now, x.occ(x.WriteOcc[r], x.WriteCyc[r]), x.WriteCyc[r])
 }
 
-// memRead fetches a block from main memory, returning its latency. With
-// an MSHR attached, a miss to a block already in flight merges with the
-// outstanding fill (no new memory read), and a full table delays the
-// issue until the earliest outstanding fill retires.
+// memRead fetches a block from main memory, returning its latency.
 func (x *Ctx) memRead(block uint64) uint64 {
 	if x.Functional {
 		// Count the read (miss-traffic signatures need it) but leave the
-		// MSHR and DRAM models untouched: their state is keyed to the
-		// cycle clock, which does not advance in functional mode.
+		// DRAM model untouched: its state is keyed to the cycle clock,
+		// which does not advance in functional mode.
 		x.Met.MemReads++
 		return 0
-	}
-	if t := x.MSHR; t != nil {
-		if wait, ok := t.Merge(block, x.Now); ok {
-			x.Met.MSHRMerges++
-			return wait
-		}
-		delay, stalled := t.Reserve(x.Now)
-		if stalled {
-			x.Met.MSHRStalls++
-		}
-		issue := x.Now + delay
-		x.Met.MemReads++
-		lat := x.MemCycles
-		if x.MemAccess != nil {
-			lat = x.MemAccess(block, issue, false)
-		}
-		t.Fill(block, issue+lat)
-		return delay + lat
 	}
 	x.Met.MemReads++
 	if x.MemAccess != nil {

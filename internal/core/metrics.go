@@ -83,13 +83,6 @@ type Metrics struct {
 	// core without installing the block in the LLC (ReuseDetector).
 	BypassedFills uint64
 
-	// MSHRMerges counts LLC misses that merged with an outstanding fill
-	// of the same block instead of issuing a redundant memory read;
-	// MSHRStalls counts misses that waited for a free miss register.
-	// Both are zero unless Config.MSHREntries is set.
-	MSHRMerges uint64
-	MSHRStalls uint64
-
 	// Instructions and Cycles summarise the run.
 	Instructions uint64
 	Cycles       uint64
@@ -124,8 +117,6 @@ func (m *Metrics) Add(o *Metrics) {
 	m.Prefetches += o.Prefetches
 	m.BypassedWrites += o.BypassedWrites
 	m.BypassedFills += o.BypassedFills
-	m.MSHRMerges += o.MSHRMerges
-	m.MSHRStalls += o.MSHRStalls
 }
 
 // Sub subtracts o's counts from m, including the end-of-run
@@ -158,8 +149,6 @@ func (m *Metrics) Sub(o *Metrics) {
 	m.Prefetches -= o.Prefetches
 	m.BypassedWrites -= o.BypassedWrites
 	m.BypassedFills -= o.BypassedFills
-	m.MSHRMerges -= o.MSHRMerges
-	m.MSHRStalls -= o.MSHRStalls
 	m.Instructions -= o.Instructions
 	m.Cycles -= o.Cycles
 }
@@ -195,8 +184,6 @@ func (m *Metrics) AddScaled(o *Metrics, k uint64) {
 	m.Prefetches += o.Prefetches * k
 	m.BypassedWrites += o.BypassedWrites * k
 	m.BypassedFills += o.BypassedFills * k
-	m.MSHRMerges += o.MSHRMerges * k
-	m.MSHRStalls += o.MSHRStalls * k
 	m.Instructions += o.Instructions * k
 	m.Cycles += o.Cycles * k
 }

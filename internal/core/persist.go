@@ -206,5 +206,4 @@ var (
 	_ StateCodec = (*Metrics)(nil)
 	_ StateCodec = (*Banks)(nil)
 	_ StateCodec = (*cache.Duel)(nil)
-	_ StateCodec = (*cache.MSHR)(nil)
 )

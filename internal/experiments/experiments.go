@@ -52,8 +52,8 @@ type Options struct {
 	Journal *journal.Journal
 	// SampleInterval > 0 switches eligible runs to sampled interval
 	// simulation (internal/sample) with this window length in accesses
-	// per core. Runs that sampling cannot represent — coherent, MOESI-
-	// tracked, profiled, or warmup-bounded configurations — silently stay
+	// per core. Runs that sampling cannot represent — coherent, profiled,
+	// or warmup-bounded configurations — silently stay
 	// exact, so one flag can accelerate a whole artifact sweep. Unlike
 	// Jobs this changes results (they become estimates), so the sampling
 	// knobs ARE part of memo keys: sampled and exact runs never share

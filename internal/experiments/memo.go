@@ -193,7 +193,7 @@ func sampleEligible(cfg sim.Config, policyName string, opt Options) bool {
 		return false
 	}
 	return opt.SampleInterval > 0 &&
-		!cfg.Coherent && !cfg.TrackMOESI && !cfg.Profile &&
+		!cfg.Coherent && !cfg.Profile &&
 		cfg.WarmupAccessesPerCore == 0 && cfg.MaxAccessesPerCore == 0
 }
 

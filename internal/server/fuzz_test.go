@@ -68,10 +68,10 @@ func FuzzSweepBody(f *testing.F) {
 // FuzzTracesBody drives arbitrary plain or gzipped bodies through
 // /v1/traces uploads. The server must never panic or answer 5xx, and it
 // may answer 200 only to a body that the trace codec (NewAutoReader and
-// Drain) decodes to at least one record without error; the 200 must
-// then report that record count. Uploads are bounded at 1 KiB (92
-// records) and kept in memory; seeds live in
-// testdata/fuzz/FuzzTracesBody.
+// Drain) decodes to at least one and at most 92 records without error;
+// the 200 must then report that record count. Uploads are bounded at
+// 1 KiB, compressed and decoded (92 records), and kept in memory; seeds
+// live in testdata/fuzz/FuzzTracesBody.
 func FuzzTracesBody(f *testing.F) {
 	s := New(Config{MaxTraceBytes: 1 << 10})
 	h := s.Handler()
@@ -95,8 +95,8 @@ func FuzzTracesBody(f *testing.F) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatalf("body %q: 200 with undecodable response %s", body, rec.Body)
 		}
-		if records == 0 || resp.Records != uint64(records) {
-			t.Fatalf("body %q decodes to %d records, yet was served 200 reporting %d", body, records, resp.Records)
+		if records == 0 || records > 92 || resp.Records != uint64(records) {
+			t.Fatalf("body %q decodes to %d records (at most 92 fit the bound), yet was served 200 reporting %d", body, records, resp.Records)
 		}
 	})
 }

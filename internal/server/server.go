@@ -85,7 +85,8 @@ type Config struct {
 	// MemoEntries bounds the result cache, LRU-evicting past it
 	// (0 = 4096; negative = unbounded).
 	MemoEntries int
-	// MaxTraceBytes caps one trace upload's body (0 = 64 MiB).
+	// MaxTraceBytes caps one trace upload's body, and the binary trace
+	// a gzipped body decodes to (0 = 64 MiB).
 	MaxTraceBytes int64
 	// MaxAccesses caps a run's per-core trace length (0 = 4,000,000).
 	MaxAccesses uint64
@@ -934,6 +935,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 // handleTraceUpload stores a binary trace (plain or gzipped; the reader
 // sniffs) under ?name=, decoded through internal/trace's codec.
+// MaxTraceBytes bounds both the body and the stream it decodes to, so
+// a small gzip cannot inflate without bound: decoding stops at the
+// first record past the bound, and the upload is a 413.
 func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 	if s.refuseDraining(w) {
 		return
@@ -951,7 +955,8 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorResponse{Error: err.Error()})
 		return
 	}
-	accs := trace.Drain(tr)
+	maxRecords := trace.MaxRecords(s.cfg.MaxTraceBytes)
+	accs := trace.Drain(trace.Limit(tr, maxRecords+1))
 	if err := tr.Err(); err != nil {
 		status := http.StatusBadRequest
 		var maxErr *http.MaxBytesError
@@ -959,6 +964,12 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 			status = http.StatusRequestEntityTooLarge
 		}
 		writeJSON(w, status, errorResponse{Error: err.Error()})
+		return
+	}
+	if uint64(len(accs)) > maxRecords {
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorResponse{
+			Error: fmt.Sprintf("trace decodes to more than %d bytes", s.cfg.MaxTraceBytes),
+		})
 		return
 	}
 	if len(accs) == 0 {

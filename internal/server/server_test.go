@@ -180,20 +180,23 @@ func TestRunValidation(t *testing.T) {
 		}
 	}
 	// A config key that names no Config field is a 400 whose field is
-	// the key, not silently dropped: Banks is a retired setting.
+	// the key, not silently dropped: Banks and MSHREntries are retired
+	// settings.
 	for _, tc := range []struct {
-		path string
-		req  any
+		path, field string
+		req         any
 	}{
-		{"/v1/run", RunRequest{Mix: "WL1", Accesses: smallAccesses, Config: json.RawMessage(`{"Banks": 4}`)}},
-		{"/v1/sweep", SweepRequest{Mixes: []string{"WL1"}, Accesses: smallAccesses, Config: json.RawMessage(`{"Banks": 4}`)}},
-		{"/v1/sweep", SweepRequest{Mixes: []string{"WL1"}, Policies: []string{"LAP"}, Accesses: smallAccesses,
+		{"/v1/run", "Banks", RunRequest{Mix: "WL1", Accesses: smallAccesses, Config: json.RawMessage(`{"Banks": 4}`)}},
+		{"/v1/sweep", "Banks", SweepRequest{Mixes: []string{"WL1"}, Accesses: smallAccesses, Config: json.RawMessage(`{"Banks": 4}`)}},
+		{"/v1/sweep", "Banks", SweepRequest{Mixes: []string{"WL1"}, Policies: []string{"LAP"}, Accesses: smallAccesses,
 			Config: json.RawMessage(`{"Banks": 4}`)}},
+		{"/v1/run", "MSHREntries", RunRequest{Mix: "WL1", Accesses: smallAccesses, Config: json.RawMessage(`{"MSHREntries": 8}`)}},
+		{"/v1/sweep", "MSHREntries", SweepRequest{Mixes: []string{"WL1"}, Accesses: smallAccesses, Config: json.RawMessage(`{"MSHREntries": 8}`)}},
 	} {
 		status, body := post(t, ts.URL+tc.path, tc.req)
 		var ue errorResponse
-		if status != http.StatusBadRequest || json.Unmarshal(body, &ue) != nil || ue.Field != "Banks" {
-			t.Fatalf("%s config with Banks: got %d %s, want a 400 whose field is Banks", tc.path, status, body)
+		if status != http.StatusBadRequest || json.Unmarshal(body, &ue) != nil || ue.Field != tc.field {
+			t.Fatalf("%s config with %s: got %d %s, want a 400 whose field is %s", tc.path, tc.field, status, body, tc.field)
 		}
 	}
 	// A threaded run's thread count becomes its core count, so it has
@@ -508,6 +511,42 @@ func TestTraceUploadRejectsGarbage(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: got %d, want 400", name, resp.StatusCode)
 		}
+	}
+}
+
+// TestTraceUploadBoundsDecodedBytes: MaxTraceBytes bounds what a gzip
+// body decodes to. A 4 KiB bound holds 371 records, so 372 are a 413,
+// and so is a gzip far below the bound that inflates far past it; a
+// refused upload stores nothing.
+func TestTraceUploadBoundsDecodedBytes(t *testing.T) {
+	_, ts := testServer(t, Config{MaxTraceBytes: 4 << 10})
+	for _, tc := range []struct {
+		records int
+		status  int
+	}{
+		{371, http.StatusOK},
+		{372, http.StatusRequestEntityTooLarge},
+		{100_000, http.StatusRequestEntityTooLarge},
+	} {
+		var buf bytes.Buffer
+		if _, err := trace.WriteAllGzip(&buf, trace.NewSliceSource(make([]trace.Access, tc.records))); err != nil {
+			t.Fatal(err)
+		}
+		if buf.Len() >= 4<<10 {
+			t.Fatalf("%d records: gzip body is %d bytes, not below the bound", tc.records, buf.Len())
+		}
+		resp, err := http.Post(fmt.Sprintf("%s/v1/traces?name=t%d", ts.URL, tc.records), "application/octet-stream", &buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%d records: got %d %s, want %d", tc.records, resp.StatusCode, body, tc.status)
+		}
+	}
+	if st := getStats(t, ts.URL); st.Traces != 1 {
+		t.Errorf("stats traces: got %d, want 1", st.Traces)
 	}
 }
 

@@ -14,9 +14,9 @@ package sim
 // What is deliberately NOT serialized: per-core decode buffers (the
 // buffered-but-unexecuted accesses re-decode identically from the
 // deterministic sources), and the state behind ineligible
-// configurations (coherence buses, MOESI directories, per-block
-// profilers, DRAM row buffers, telemetry windows) — those
-// configurations silently run cold instead.
+// configurations (coherence buses, per-block profilers, DRAM row
+// buffers, telemetry windows) — those configurations silently run cold
+// instead.
 
 import (
 	"fmt"
@@ -29,7 +29,7 @@ import (
 // machinePayloadVersion pins the layout of the machine-state payload
 // inside a checkpoint entry (the store's FormatVersion pins the
 // envelope).
-const machinePayloadVersion = 1
+const machinePayloadVersion = 2
 
 // CheckpointSink receives one encoded machine snapshot per checkpoint
 // boundary. interval is the boundary ordinal (seen/CheckpointEvery),
@@ -51,7 +51,7 @@ type ckState struct {
 // checkpointableCfg reports whether this machine's full mutable state
 // is covered by the codec. Ineligible configurations run cold.
 func (m *machine) checkpointableCfg() bool {
-	return !m.cfg.Coherent && !m.cfg.TrackMOESI && !m.cfg.Profile && !m.cfg.UseDRAM &&
+	return !m.cfg.Coherent && !m.cfg.Profile && !m.cfg.UseDRAM &&
 		m.cfg.SampleInterval == 0 && m.tel == nil && core.CanCheckpoint(m.ctrl)
 }
 
@@ -119,10 +119,6 @@ func (m *machine) encodeCheckpoint(e *wire.Encoder) {
 		e.U64(m.ctx.E.Regions[i].Writes)
 	}
 	m.ctx.Banks.EncodeState(e)
-	e.Bool(m.ctx.MSHR != nil)
-	if m.ctx.MSHR != nil {
-		m.ctx.MSHR.EncodeState(e)
-	}
 	e.U64(m.loopFills)
 
 	// Warmup baselines (zero-valued when the window has not opened).
@@ -197,18 +193,6 @@ func (m *machine) restoreCheckpoint(payload []byte) error {
 	}
 	if err := m.ctx.Banks.DecodeState(d); err != nil {
 		return err
-	}
-	hasMSHR := d.Bool()
-	if hasMSHR != (m.ctx.MSHR != nil) {
-		if err := d.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("sim: checkpoint MSHR presence %v, machine %v", hasMSHR, m.ctx.MSHR != nil)
-	}
-	if hasMSHR {
-		if err := m.ctx.MSHR.DecodeState(d); err != nil {
-			return err
-		}
 	}
 	m.loopFills = d.U64()
 

@@ -8,14 +8,13 @@ import (
 	"repro/internal/workload"
 )
 
-// ckTestConfig is a small geometry that still exercises warmup, MSHRs,
+// ckTestConfig is a small geometry that still exercises warmup,
 // banked-LLC timing state, and both warm phases around the checkpoint
 // boundaries.
 func ckTestConfig() Config {
 	cfg := DefaultConfig()
 	cfg.CheckpointEvery = 10_000
 	cfg.WarmupAccessesPerCore = 5_000
-	cfg.MSHREntries = 8
 	return cfg
 }
 
@@ -111,6 +110,13 @@ func TestCheckpointResumeRejectsMismatch(t *testing.T) {
 	srcs, _ = MixSources(mix, 15_000, 1)
 	if _, err := RunCheckpointed(cfg, core.NewLAP(), srcs, payload[:len(payload)/2], nil); err == nil {
 		t.Fatal("truncated payload did not error")
+	}
+	// Version 1 payloads carried an MSHR section that version 2 dropped.
+	v1 := append([]byte{1}, payload[1:]...)
+	srcs, _ = MixSources(mix, 15_000, 1)
+	if _, err := RunCheckpointed(cfg, core.NewLAP(), srcs, v1, nil); err == nil ||
+		err.Error() != "sim: checkpoint payload version 1, want 2" {
+		t.Fatalf("version-1 payload: error = %v, want the version error", err)
 	}
 }
 

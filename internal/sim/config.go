@@ -87,20 +87,8 @@ type Config struct {
 	// Coherent enables the snooping bus; use for multi-threaded workloads
 	// sharing one address space.
 	Coherent bool
-	// TrackMOESI additionally runs the full MOESI reference directory
-	// alongside a coherent simulation, reporting protocol statistics and
-	// state occupancy and asserting the protocol invariants.
-	TrackMOESI bool
 	// Profile enables the per-block redundancy/CTC profiler.
 	Profile bool
-
-	// MSHREntries > 0 models a bounded table of miss-status holding
-	// registers in front of main memory: concurrent LLC misses to a block
-	// already in flight merge with the outstanding fill instead of
-	// issuing a redundant memory read, and a full table stalls new misses
-	// until the earliest fill retires. 0 (the default) gives every miss
-	// its own memory read, exactly the pre-MSHR behaviour.
-	MSHREntries int
 
 	// MaxAccessesPerCore bounds the run; 0 means run until every source
 	// is exhausted.
@@ -119,7 +107,7 @@ type Config struct {
 	// rest are fast-forwarded in functional warmup mode and extrapolated
 	// by cluster weight. 0 (the default) is exact mode. Sampled runs
 	// require forkable trace sources (workload surrogates, in-memory
-	// traces) and are incompatible with Coherent, TrackMOESI, Profile,
+	// traces) and are incompatible with Coherent, Profile,
 	// WarmupAccessesPerCore, and MaxAccessesPerCore (bound the sources
 	// instead); Validate reports which knob conflicts.
 	SampleInterval uint64
@@ -140,7 +128,7 @@ type Config struct {
 	// normalize it out of their keys. Checkpointing walks every core's
 	// private levels directly (no replay) and silently disables itself
 	// on configurations whose state is not serialized (Coherent,
-	// TrackMOESI, Profile, UseDRAM, sampled mode, telemetry).
+	// Profile, UseDRAM, sampled mode, telemetry).
 	CheckpointEvery uint64
 }
 

@@ -22,7 +22,6 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	cfg.PrefetchDegree = 2
 	cfg.UseDRAM = true
 	cfg.Coherent = true
-	cfg.TrackMOESI = true
 	cfg.Profile = true
 	cfg.MaxAccessesPerCore = 123
 	cfg.WarmupAccessesPerCore = 45

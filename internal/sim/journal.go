@@ -50,52 +50,3 @@ func JournalTelemetry(j *journal.Journal, run, traceID string, interval uint64) 
 		},
 	}
 }
-
-// MergeTelemetry fans one run's observation out to multiple sinks (e.g.
-// a request trace and the live journal at once). Nil entries are
-// skipped; returns nil when every entry is nil. Interval length is
-// taken from the first non-nil entry with a nonzero Interval.
-func MergeTelemetry(tels ...*Telemetry) *Telemetry {
-	live := tels[:0]
-	for _, t := range tels {
-		if t != nil {
-			live = append(live, t)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	if len(live) == 1 {
-		return live[0]
-	}
-	m := &Telemetry{}
-	for _, t := range live {
-		if t.Interval > 0 {
-			m.Interval = t.Interval
-			break
-		}
-	}
-	snap := append([]*Telemetry(nil), live...)
-	m.OnInterval = func(iv Interval) {
-		for _, t := range snap {
-			if t.OnInterval != nil {
-				t.OnInterval(iv)
-			}
-		}
-	}
-	m.OnWarmupEnd = func(c uint64) {
-		for _, t := range snap {
-			if t.OnWarmupEnd != nil {
-				t.OnWarmupEnd(c)
-			}
-		}
-	}
-	m.OnDone = func(c uint64) {
-		for _, t := range snap {
-			if t.OnDone != nil {
-				t.OnDone(c)
-			}
-		}
-	}
-	return m
-}

@@ -103,30 +103,3 @@ func TestJournalTelemetryObservedMatchesUnobserved(t *testing.T) {
 		t.Fatalf("journal streaming changed the simulation:\nplain    %+v\nobserved %+v", plain.Met, observed.Met)
 	}
 }
-
-// TestMergeTelemetry: fan-out to multiple sinks preserves every hook
-// and collapses nils.
-func TestMergeTelemetry(t *testing.T) {
-	if MergeTelemetry(nil, nil) != nil {
-		t.Fatal("all-nil merge not nil")
-	}
-	single := &Telemetry{Interval: 7}
-	if MergeTelemetry(nil, single) != single {
-		t.Fatal("single-entry merge should return it unchanged")
-	}
-	var a, b, warm, done int
-	m := MergeTelemetry(
-		&Telemetry{Interval: 500, OnInterval: func(Interval) { a++ }},
-		nil,
-		&Telemetry{OnInterval: func(Interval) { b++ }, OnWarmupEnd: func(uint64) { warm++ }, OnDone: func(uint64) { done++ }},
-	)
-	if m.Interval != 500 {
-		t.Fatalf("merged interval = %d", m.Interval)
-	}
-	m.OnInterval(Interval{})
-	m.OnWarmupEnd(1)
-	m.OnDone(2)
-	if a != 1 || b != 1 || warm != 1 || done != 1 {
-		t.Fatalf("hooks fired a=%d b=%d warm=%d done=%d", a, b, warm, done)
-	}
-}

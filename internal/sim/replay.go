@@ -83,8 +83,8 @@ func (c Config) CoreKeys(mix workload.Mix, accesses, seed uint64) ([]CoreKey, er
 
 // Replayable reports whether a run of cfg under ctrl may take its cores'
 // private-level history from recordings. The direct walk stays the
-// path for every run the recordings cannot represent: coherent and
-// MOESI-tracked runs (snoops write other cores' private levels),
+// path for every run the recordings cannot represent: coherent runs
+// (snoops write other cores' private levels),
 // profiled runs (the profiler watches L2 writes), checkpointed and
 // sampled runs, controllers that back-invalidate into the L1/L2
 // (inclusive), warmup-bounded runs (their baseline snapshots every core
@@ -99,7 +99,7 @@ func Replayable(cfg Config, ctrl core.Controller) bool {
 // recordable reports whether cfg's private levels are independent of
 // the controller.
 func (c Config) recordable() bool {
-	return !c.Coherent && !c.TrackMOESI && !c.Profile &&
+	return !c.Coherent && !c.Profile &&
 		c.CheckpointEvery == 0 && c.SampleInterval == 0
 }
 

@@ -29,12 +29,11 @@ func pick[T any](f *fuzzBytes, vals ...T) T { return vals[f.intn(len(vals))] }
 // fuzzMachine draws a machine within Validate's bounds from f: 1-4
 // cores; L1, L2 and LLC of 1-24 ways, so that both the packed and the
 // byte-order recency paths run; a hybrid LLC or not; LRU or RRIP;
-// prefetch 0-2; an MSHR table or not; the DRAM model or fixed memory
-// latency; an access bound or not. Latencies and the CPI come from
-// small sets of round values, so that core clocks often tie. A store
-// stall fraction above one, which Validate admits, makes a store's
-// stall large against the clock early in a run, where one ulp of it
-// still shows in the clock.
+// prefetch 0-2; the DRAM model or fixed memory latency; an access bound
+// or not. Latencies and the CPI come from small sets of round values,
+// so that core clocks often tie. A store stall fraction above one,
+// which Validate admits, makes a store's stall large against the clock
+// early in a run, where one ulp of it still shows in the clock.
 func fuzzMachine(f *fuzzBytes) Config {
 	cfg := DefaultConfig()
 	cfg.Cores = 1 + f.intn(4)
@@ -55,7 +54,6 @@ func fuzzMachine(f *fuzzBytes) Config {
 	cfg.L3Replacement = pick(f, cache.ReplLRU, cache.ReplRRIP)
 	cfg.L3Banks = pick(f, 1, 2, 4)
 	cfg.PrefetchDegree = f.intn(3)
-	cfg.MSHREntries = pick(f, 0, 0, 1, 4)
 	cfg.UseDRAM = f.intn(3) == 0
 	cfg.BaseCPI = pick[float64](f, 0.25, 0.5, 1, 2, 1.0/1024)
 	cfg.MLP = pick[float64](f, 1, 2, 3, 4)
@@ -82,9 +80,9 @@ func fuzzMachine(f *fuzzBytes) Config {
 func FuzzReplayDifferential(f *testing.F) {
 	for _, seed := range [][]byte{
 		{},
-		{3, 3, 3, 15, 6, 15, 8, 1, 2, 1, 2, 1, 1, 0, 1, 1, 2, 2, 1, 2, 1, 0, 0, 0, 9, 40, 1, 2, 3},
-		{1, 23, 4, 16, 6, 23, 8, 1, 5, 0, 1, 2, 2, 3, 0, 0, 1, 1, 3, 1, 2, 1, 1, 1, 200, 10, 4},
-		{3, 7, 2, 7, 5, 20, 7, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 31, 17, 9, 9},
+		{3, 3, 3, 15, 6, 15, 8, 1, 2, 1, 2, 1, 0, 1, 1, 2, 2, 1, 2, 1, 0, 0, 0, 9, 40, 1, 2, 3},
+		{1, 23, 4, 16, 6, 23, 8, 1, 5, 0, 1, 2, 3, 0, 0, 1, 1, 3, 1, 2, 1, 1, 1, 200, 10, 4},
+		{3, 7, 2, 7, 5, 20, 7, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 4, 0, 31, 17, 9, 9},
 	} {
 		f.Add(seed)
 	}

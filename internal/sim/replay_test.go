@@ -25,17 +25,16 @@ func replayScale() (accesses uint64, base Config, duel uint64) {
 }
 
 // replayConfigs are the machines of the replay matrix: an STT-RAM LLC,
-// the hybrid LLC, a prefetcher, an MSHR table, the DRAM model, and a
-// per-core length bound. Warmup windows are not replayable.
+// the hybrid LLC, a prefetcher, the DRAM model, and a per-core length
+// bound. Warmup windows are not replayable.
 func replayConfigs(stt Config, accesses uint64) map[string]Config {
-	pf, mshr, dram, bounded := stt, stt, stt, stt
+	pf, dram, bounded := stt, stt, stt
 	pf.PrefetchDegree = 2
-	mshr.MSHREntries = 8
 	dram.UseDRAM = true
 	bounded.MaxAccessesPerCore = accesses / 2
 	return map[string]Config{
 		"stt": stt, "hybrid": stt.WithHybridL3(), "prefetch2": pf,
-		"mshr": mshr, "dram": dram, "bounded": bounded,
+		"dram": dram, "bounded": bounded,
 	}
 }
 

@@ -35,12 +35,6 @@ type Result struct {
 	Snoop coherence.Stats
 	// DRAM holds row-buffer statistics when the DRAM model was enabled.
 	DRAM dram.Stats
-	// MOESI holds reference-protocol statistics for TrackMOESI runs;
-	// MOESIOccupancy is the end-of-run state mix and MOESIViolation the
-	// first invariant violation ("" when the protocol stayed consistent).
-	MOESI          coherence.DirectoryStats
-	MOESIOccupancy map[coherence.MOESIState]int
-	MOESIViolation string
 	// BankOps is the per-bank access count of the LLC timing model
 	// (Config.L3Banks banks) — the bank utilization profile.
 	BankOps []uint64
@@ -141,7 +135,6 @@ type machine struct {
 	ctrl  core.Controller
 	bus   *coherence.Bus
 	mem   *dram.Memory
-	moesi *coherence.Directory
 
 	// pen is cfg.penalties(), the stall of an access the private levels
 	// serve.
@@ -216,9 +209,6 @@ func build(cfg Config, ctrl core.Controller, srcs []trace.Source) *machine {
 			peers[i] = (*corePeer)(c)
 		}
 		m.bus = coherence.NewBus(peers)
-		if cfg.TrackMOESI {
-			m.moesi = coherence.NewDirectory(cfg.Cores)
-		}
 	}
 	if backInvalidates(ctrl) {
 		m.ctx.BackInvalidate = m.backInvalidate
@@ -227,7 +217,7 @@ func build(cfg Config, ctrl core.Controller, srcs []trace.Source) *machine {
 }
 
 // newMachine builds the shared part of a machine, without cores: the
-// LLC, its energy meter and bank model, the MSHR table and the DRAM.
+// LLC, its energy meter and bank model, and the DRAM.
 func newMachine(cfg Config, ctrl core.Controller) *machine {
 	l3 := cache.New(cache.Config{
 		Name: "L3", SizeBytes: cfg.L3SizeBytes, Ways: cfg.L3Ways,
@@ -270,9 +260,6 @@ func newMachine(cfg Config, ctrl core.Controller) *machine {
 	}
 	if cfg.Profile {
 		ctx.Prof = core.NewProfiler()
-	}
-	if cfg.MSHREntries > 0 {
-		ctx.MSHR = cache.NewMSHR(cfg.MSHREntries)
 	}
 	m := &machine{cfg: cfg, ctx: ctx, ctrl: ctrl, pen: cfg.penalties()}
 	if cfg.UseDRAM {
@@ -440,8 +427,6 @@ func (m *machine) subtractBaselines() {
 	met.Prefetches -= base.Prefetches
 	met.BypassedWrites -= base.BypassedWrites
 	met.BypassedFills -= base.BypassedFills
-	met.MSHRMerges -= base.MSHRMerges
-	met.MSHRStalls -= base.MSHRStalls
 	if m.bus != nil {
 		m.bus.Stats.Probes -= m.baseSnoop.Probes
 		m.bus.Stats.Broadcasts -= m.baseSnoop.Broadcasts
@@ -462,13 +447,6 @@ func (m *machine) step(c *coreState, acc trace.Access) {
 	m.retire(c, acc.Instrs)
 	block := acc.Addr / uint64(m.cfg.BlockBytes)
 	lat := m.access(c, block, acc.Write)
-	if m.moesi != nil {
-		if acc.Write {
-			m.moesi.Write(c.id, block)
-		} else {
-			m.moesi.Read(c.id, block)
-		}
-	}
 	m.stall(c, lat, acc.Write)
 }
 
@@ -708,9 +686,6 @@ func (m *machine) installL2(c *coreState, block uint64, dirty, loop, shared bool
 
 // onL2Evict routes an L2 victim to the inclusion controller.
 func (m *machine) onL2Evict(c *coreState, v cache.Line) {
-	if m.moesi != nil && c.l1.Probe(v.Tag) < 0 {
-		m.moesi.Evict(c.id, v.Tag)
-	}
 	countL2Victim(m.ctx.Met, v.Dirty)
 	if m.ctx.Prof != nil {
 		m.ctx.Prof.OnL2Evict(v.Tag, v.Dirty)
@@ -830,11 +805,6 @@ func (m *machine) result() Result {
 	}
 	if m.mem != nil {
 		res.DRAM = m.mem.Stats
-	}
-	if m.moesi != nil {
-		res.MOESI = m.moesi.Stats
-		res.MOESIOccupancy = m.moesi.Occupancy()
-		res.MOESIViolation = m.moesi.CheckInvariants()
 	}
 	if totalInstr > 0 {
 		res.EPI = m.ctx.E.EPI(met.Cycles, totalInstr)

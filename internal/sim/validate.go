@@ -45,11 +45,10 @@ const (
 	MaxL1Bytes = 1 << 20
 	MaxL2Bytes = 4 << 20
 	MaxL3Bytes = 512 << 20
-	// MaxL3Banks, MaxMSHREntries and MaxDRAMBanks bound the other
-	// tables a run allocates by a configured size.
-	MaxL3Banks     = 1024
-	MaxMSHREntries = 256
-	MaxDRAMBanks   = 1024
+	// MaxL3Banks and MaxDRAMBanks bound the other tables a run
+	// allocates by a configured size.
+	MaxL3Banks   = 1024
+	MaxDRAMBanks = 1024
 )
 
 // Validate checks the configuration for the mistakes the simulator would
@@ -98,8 +97,6 @@ func (c Config) Validate() error {
 		return fieldErrf("MLP", "must be positive (got %g)", c.MLP)
 	case c.PrefetchDegree < 0 || c.PrefetchDegree > MaxPrefetchDegree:
 		return fieldErrf("PrefetchDegree", "prefetch degree must be in 0..%d (got %d)", MaxPrefetchDegree, c.PrefetchDegree)
-	case c.MSHREntries < 0 || c.MSHREntries > MaxMSHREntries:
-		return fieldErrf("MSHREntries", "MSHR entries must be in 0..%d (got %d)", MaxMSHREntries, c.MSHREntries)
 	case c.UseDRAM && c.DRAM.Banks != 0 && (c.DRAM.Banks < 0 || c.DRAM.Banks > MaxDRAMBanks):
 		return fieldErrf("DRAM", "DRAM banks must be in 1..%d, or 0 for DDR3-1600 (got %d)", MaxDRAMBanks, c.DRAM.Banks)
 	case c.UseDRAM && c.DRAM.Banks != 0 && (c.DRAM.BlockBytes <= 0 || c.DRAM.RowBytes < c.DRAM.BlockBytes):
@@ -114,7 +111,7 @@ func (c Config) Validate() error {
 		return fieldErrf("SampleWarmup", "warmup intervals must be in 0..64 (got %d)", c.SampleWarmup)
 	case c.SampleWarmup > 0 && c.SampleInterval == 0:
 		return fieldErrf("SampleWarmup", "requires sampled mode (set SampleInterval > 0)")
-	case c.SampleInterval > 0 && (c.Coherent || c.TrackMOESI):
+	case c.SampleInterval > 0 && c.Coherent:
 		return fieldErrf("SampleInterval", "sampled mode cannot run coherent workloads (cross-core state does not survive interval jumps)")
 	case c.SampleInterval > 0 && c.Profile:
 		return fieldErrf("SampleInterval", "sampled mode cannot profile per-block redundancy (profiler state spans skipped intervals)")

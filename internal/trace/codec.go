@@ -43,6 +43,15 @@ var binaryMagic = [8]byte{'L', 'A', 'P', 'T', 'R', 'C', '0', '1'}
 
 const recordSize = 11
 
+// MaxRecords returns how many records a binary trace of at most n bytes
+// holds.
+func MaxRecords(n int64) uint64 {
+	if n < int64(len(binaryMagic)) {
+		return 0
+	}
+	return uint64(n-int64(len(binaryMagic))) / recordSize
+}
+
 const flagWrite = 1 << 0
 
 // Writer streams accesses to an io.Writer in the binary trace format.

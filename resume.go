@@ -33,8 +33,8 @@ func OpenCheckpointStore(dir string) (*CheckpointStore, error) { return checkpoi
 // mix, scale, and seed) is restored and fast-forwarded instead of
 // re-simulating from access zero. A nil store or zero CheckpointEvery
 // runs exactly like Run. Configurations whose state the checkpoint
-// codec does not cover (coherent, MOESI-tracked, profiled, DRAM-backed,
-// or sampled runs) silently run cold.
+// codec does not cover (coherent, profiled, DRAM-backed, or sampled
+// runs) silently run cold.
 func RunResumable(cfg Config, p Policy, mix Mix, accesses, seed uint64, st *CheckpointStore) (Result, error) {
 	if _, err := NewController(p, cfg); err != nil {
 		return Result{}, err
