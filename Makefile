@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json alloc-gate chaos ci obs-smoke perfbench-check policy-smoke quick resume-smoke sample-smoke serve serve-smoke trace-smoke
+.PHONY: all build test race bench bench-json alloc-gate chaos ci perfbench-check policy-smoke quick resume-smoke sample-smoke serve trace-smoke
 
 all: build
 
@@ -90,11 +90,9 @@ ci:
 	$(MAKE) alloc-gate
 	$(MAKE) policy-smoke
 	$(GO) test -bench=BenchmarkFig14 -benchtime=1x -run '^$$' .
-	$(GO) run ./cmd/lapserved -smoke
 	$(MAKE) trace-smoke
 	$(MAKE) sample-smoke
 	$(MAKE) resume-smoke
-	$(MAKE) obs-smoke
 
 # The repository benchmark (perfbench/) is a module of its own, so the
 # root `go build ./...` and `go test ./...` never compile it. Vet it and
@@ -103,24 +101,6 @@ ci:
 perfbench-check:
 	$(GO) -C perfbench vet ./...
 	$(GO) -C perfbench test ./...
-
-# Observability gate: boot an in-process lapserved, run a sweep while
-# subscribed to /v1/events and assert the event story arrives in causal
-# order with monotone sequence numbers (including a Last-Event-ID
-# reconnect replay), require sweep output byte-identical with and
-# without a subscriber, check /readyz flips during drain while /healthz
-# holds, and download + validate every member of /debug/bundle (see
-# cmd/obssmoke).
-obs-smoke:
-	$(GO) run ./cmd/obssmoke
-
-# Boot lapserved on an ephemeral port, hit /healthz and /v1/run, fire a
-# coalesced duplicate pair and assert the recalled counter advanced,
-# then scrape /metrics and validate the Prometheus exposition (format,
-# required series, computed-vs-recalled histogram split). Exits non-zero
-# on any failure.
-serve-smoke:
-	$(GO) run ./cmd/lapserved -smoke
 
 # Record a real simulation timeline with lapsim -trace and validate it
 # with the strict cmd/tracecheck parser: span nesting (warmup and epochs

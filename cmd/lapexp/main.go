@@ -30,7 +30,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"log/slog"
 	"os"
 	"runtime"
 	"sort"
@@ -42,7 +41,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fault"
 	"repro/internal/obs"
-	"repro/internal/obs/journal"
 	"repro/internal/obs/trace"
 )
 
@@ -111,7 +109,6 @@ func main() {
 	sampleWarmup := flag.Int("sample-warmup", 1, "sampled mode: functional re-warm intervals before each representative")
 	checkpointDir := flag.String("checkpoint-dir", "", "durable checkpoint store: runs snapshot and resume across invocations (tables byte-identical either way)")
 	checkpointEvery := flag.Uint64("checkpoint-every", 1_000_000, "checkpoint spacing in accesses, summed over cores (with -checkpoint-dir)")
-	eventsOut := flag.String("events", "", `append cell lifecycle events (cell.start/finish/failed) as JSON lines to this file ("-" = stderr; tables byte-identical either way)`)
 	flag.Parse()
 
 	opt := experiments.Defaults()
@@ -154,22 +151,6 @@ func main() {
 		}
 		opt.Checkpoints = st
 		opt.CheckpointEvery = *checkpointEvery
-	}
-	if *eventsOut != "" {
-		// Observation-only, like -trace: each executed cell's start/finish
-		// lands as one JSON line, letting a long sweep be watched with
-		// `tail -f` — the tables themselves stay byte-identical.
-		w := io.Writer(os.Stderr)
-		if *eventsOut != "-" {
-			f, err := os.Create(*eventsOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "lapexp: -events: %v\n", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			w = f
-		}
-		opt.Journal = journal.New(0, slog.New(slog.NewJSONHandler(w, nil)))
 	}
 
 	all := experiments.Registry(opt)

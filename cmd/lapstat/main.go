@@ -13,10 +13,11 @@
 //
 // It also speaks lapserved's observability surface: -bundle un-tars a
 // /debug/bundle diagnostics archive and prints an operator summary
-// (members, capture metadata, run/SLO health, event-journal tail),
+// (members, capture metadata, run health, the tail of its event log),
 // validating every JSON member on the way; -events tails a live
 // instance's /v1/events stream one line per event, with -kind / -run /
-// -from mapping onto the endpoint's server-side filters.
+// -from mapping onto the endpoint's server-side filters. Both decode
+// the trace JSONL record.
 //
 //	lapstat -bundle lapserved-bundle-20260808-120000.tar.gz
 //	lapstat -events localhost:8080 -kind 'run.*,breaker.transition'
@@ -43,7 +44,7 @@ func main() {
 	events := flag.String("events", "", "lapserved base URL whose /v1/events stream to tail")
 	kinds := flag.String("kind", "", "with -events: comma-separated kind filters (trailing-* prefix match)")
 	run := flag.String("run", "", "with -events: only events for this workload|policy cell")
-	from := flag.Uint64("from", 0, "with -events: replay from this journal sequence number")
+	from := flag.Uint64("from", 0, "with -events: replay from this event sequence number")
 	flag.Parse()
 
 	switch {

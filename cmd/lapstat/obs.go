@@ -14,17 +14,17 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/obs/journal"
+	otrace "repro/internal/obs/trace"
 )
 
-// bundleEventTail bounds how many journal events the bundle summary
-// prints; the full log stays in events.jsonl for jq.
+// bundleEventTail bounds how many events the bundle summary prints; the
+// full log stays in events.jsonl for jq.
 const bundleEventTail = 15
 
 // printBundle un-tars a lapserved diagnostics bundle (GET /debug/bundle)
 // and prints an operator-oriented summary: what is inside, where the
 // snapshot came from, the health numbers that matter, and the tail of
-// the event journal. It exits non-zero if the archive or any JSON member
+// the event log. It exits non-zero if the archive or any JSON member
 // fails to parse — so it doubles as a bundle validator.
 func printBundle(path string) error {
 	f, err := os.Open(path)
@@ -94,46 +94,21 @@ func printBundle(path string) error {
 			Recalled     uint64 `json:"recalled"`
 			Failures     uint64 `json:"failures"`
 			BreakerState string `json:"breaker_state"`
-			Events       *struct {
-				Emitted     uint64 `json:"emitted"`
-				Subscribers int    `json:"subscribers"`
-			} `json:"events"`
-			SLO *struct {
-				Objective float64 `json:"objective"`
-				Windows   []struct {
-					Window           string  `json:"window"`
-					Total            uint64  `json:"total"`
-					SuccessRate      float64 `json:"success_rate"`
-					AvailabilityBurn float64 `json:"availability_burn"`
-					LatencyBurn      float64 `json:"latency_burn"`
-				} `json:"windows"`
-			} `json:"slo"`
 		}
 		if err := json.Unmarshal(data, &st); err == nil {
 			fmt.Printf("runs: %d computed, %d recalled, %d failed; breaker %s\n",
 				st.Computed, st.Recalled, st.Failures, st.BreakerState)
-			if st.Events != nil {
-				fmt.Printf("journal: %d events emitted, %d live subscribers\n",
-					st.Events.Emitted, st.Events.Subscribers)
-			}
-			if st.SLO != nil {
-				fmt.Printf("slo (objective %.4g):\n", st.SLO.Objective)
-				for _, w := range st.SLO.Windows {
-					fmt.Printf("  %-8s %6d reqs  success %.4f  burn avail %.2f / latency %.2f\n",
-						w.Window, w.Total, w.SuccessRate, w.AvailabilityBurn, w.LatencyBurn)
-				}
-			}
 		}
 	}
 
 	if data, ok := members["events.jsonl"]; ok {
 		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
-		var events []journal.Event
+		var events []otrace.Record
 		for _, line := range lines {
 			if line == "" {
 				continue
 			}
-			var e journal.Event
+			var e otrace.Record
 			if err := json.Unmarshal([]byte(line), &e); err != nil {
 				return fmt.Errorf("events.jsonl line does not parse: %w", err)
 			}
@@ -201,7 +176,7 @@ func tailEvents(base, kinds, run string, from uint64) error {
 		if !strings.HasPrefix(line, "data: ") {
 			continue // ids/event names ride inside the JSON; comments are noise
 		}
-		var e journal.Event
+		var e otrace.Record
 		if err := json.Unmarshal([]byte(line[6:]), &e); err != nil {
 			fmt.Fprintf(os.Stderr, "lapstat: bad event frame: %v\n", err)
 			continue
@@ -210,27 +185,23 @@ func tailEvents(base, kinds, run string, from uint64) error {
 	}
 }
 
-// formatEvent renders one journal event as a stable single line:
-// timestamp, sequence, kind, then run/trace/msg and sorted fields.
-func formatEvent(e journal.Event) string {
+// formatEvent renders one event record as a stable single line: time
+// since the server started, sequence, name, then its attrs sorted by
+// key.
+func formatEvent(e otrace.Record) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s #%d %-20s", time.Unix(0, e.TS).UTC().Format("15:04:05.000"), e.Seq, e.Kind)
-	if e.Run != "" {
-		fmt.Fprintf(&b, " run=%s", e.Run)
-	}
-	if e.Trace != "" {
-		fmt.Fprintf(&b, " trace=%s", e.Trace)
-	}
-	if e.Msg != "" {
-		fmt.Fprintf(&b, " msg=%q", e.Msg)
-	}
-	keys := make([]string, 0, len(e.Fields))
-	for k := range e.Fields {
+	fmt.Fprintf(&b, "+%.3fs #%d %-20s", float64(e.TS)/1e6, e.Seq, e.Name)
+	keys := make([]string, 0, len(e.Attrs))
+	for k := range e.Attrs {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		fmt.Fprintf(&b, " %s=%v", k, e.Fields[k])
+		if s, ok := e.Attrs[k].(string); ok {
+			fmt.Fprintf(&b, " %s=%q", k, s)
+		} else {
+			fmt.Fprintf(&b, " %s=%v", k, e.Attrs[k])
+		}
 	}
 	return b.String()
 }

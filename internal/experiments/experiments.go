@@ -14,7 +14,6 @@ import (
 	"repro/internal/cache"
 	"repro/internal/checkpoint"
 	"repro/internal/core"
-	"repro/internal/obs/journal"
 	"repro/internal/obs/trace"
 	"repro/internal/sim"
 )
@@ -44,12 +43,6 @@ type Options struct {
 	// — is fully off; tables are byte-identical either way, the tracer
 	// only observes. Scheduling-only, like Jobs: not part of memo keys.
 	Trace *trace.Tracer
-	// Journal optionally streams cell lifecycle events (cell.start,
-	// cell.finish, cell.failed — executions only, recalls are silent)
-	// into an event journal, so a long lapexp sweep can be watched live.
-	// Nil — the default — is fully off; observation-only like Trace, so
-	// not part of memo keys.
-	Journal *journal.Journal
 	// SampleInterval > 0 switches eligible runs to sampled interval
 	// simulation (internal/sample) with this window length in accesses
 	// per core. Runs that sampling cannot represent — coherent, profiled,

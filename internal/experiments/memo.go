@@ -10,7 +10,6 @@ import (
 	"repro/internal/fault"
 	memocache "repro/internal/memo"
 	"repro/internal/obs"
-	"repro/internal/obs/journal"
 	otrace "repro/internal/obs/trace"
 	"repro/internal/pool"
 	"repro/internal/sample"
@@ -108,7 +107,7 @@ func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options, re
 	cfg, c, key := cellFor(cfg, ctrl, mix, opt)
 	cell := key.Mix + "|" + key.Policy
 	ctx, sp := cellSpan(opt, cell)
-	res, err := memo.DoErr(ctx, key, cellObserved(opt, cell, func() (res sim.Result, err error) {
+	res, err := memo.DoErr(ctx, key, func() (res sim.Result, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = pool.Recovered(cell, r)
@@ -153,30 +152,9 @@ func runE(cfg sim.Config, ctrl sim.Controller, mix workload.Mix, opt Options, re
 			return sim.Replay(cfg, c, mix, opt.Accesses, opt.Seed, cores)
 		}
 		return sim.RunMix(cfg, func() core.Controller { return c }, mix, opt.Accesses, opt.Seed)
-	}))
+	})
 	sp.End()
 	return res, err
-}
-
-// cellObserved wraps one cell's compute with journal lifecycle events.
-// Only actual executions emit (the wrapper sits inside the memo, so
-// recalls and latch-waits stay silent); a nil journal returns compute
-// unwrapped.
-func cellObserved(opt Options, cell string, compute func() (sim.Result, error)) func() (sim.Result, error) {
-	if opt.Journal == nil {
-		return compute
-	}
-	return func() (sim.Result, error) {
-		opt.Journal.Emit(journal.Event{Kind: "cell.start", Run: cell})
-		res, err := compute()
-		if err != nil {
-			opt.Journal.Emit(journal.Event{Kind: "cell.failed", Run: cell, Msg: err.Error()})
-		} else {
-			opt.Journal.Emit(journal.Event{Kind: "cell.finish", Run: cell,
-				Fields: journal.F("cycles", res.Cycles, "l3_misses", res.Met.L3Misses)})
-		}
-		return res, err
-	}
 }
 
 // sampleEligible reports whether sampled mode applies to this run: the
@@ -295,7 +273,7 @@ func runThreadedE(cfg sim.Config, ctrl sim.Controller, b workload.Benchmark, opt
 	key := runKey(cfg, c.Name(), workload.Mix{Name: b.Name}, true, opt)
 	cell := key.Mix + "|" + key.Policy
 	ctx, sp := cellSpan(opt, cell)
-	res, err := memo.DoErr(ctx, key, cellObserved(opt, cell, func() (res sim.Result, err error) {
+	res, err := memo.DoErr(ctx, key, func() (res sim.Result, err error) {
 		defer func() {
 			if r := recover(); r != nil {
 				err = pool.Recovered(cell, r)
@@ -305,7 +283,7 @@ func runThreadedE(cfg sim.Config, ctrl sim.Controller, b workload.Benchmark, opt
 			return sim.Result{}, err
 		}
 		return sim.RunThreaded(cfg, func() core.Controller { return c }, b, opt.Accesses, opt.Seed), nil
-	}))
+	})
 	sp.End()
 	return res, err
 }

@@ -150,8 +150,8 @@ var (
 )
 
 // SetObserver installs (or, with nil, removes) a process-wide hook
-// called whenever an armed spec fires — how fault hits become journal
-// events without this package knowing about the journal. The hook runs
+// called whenever an armed spec fires — how fault hits become events
+// without this package knowing about the event stream. The hook runs
 // on the injecting goroutine and must not block. Off the fast path: the
 // observer is consulted only after a spec has decided to fire.
 func SetObserver(fn func(point, key, mode string, hit uint64)) {

@@ -1,50 +1,12 @@
 package health
 
 import (
-	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
-
-func TestRuntimeCollectors(t *testing.T) {
-	reg := obs.NewRegistry()
-	rt := RegisterRuntime(reg)
-	runtime.GC() // guarantee at least one completed cycle / pause sample
-	rt.Refresh()
-	snap := reg.Snapshot()
-	if snap["go_goroutines"] < 1 {
-		t.Fatalf("go_goroutines = %v", snap["go_goroutines"])
-	}
-	if snap["go_heap_alloc_bytes"] <= 0 {
-		t.Fatalf("go_heap_alloc_bytes = %v", snap["go_heap_alloc_bytes"])
-	}
-	if snap["go_gc_cycles_total"] < 1 {
-		t.Fatalf("go_gc_cycles_total = %v", snap["go_gc_cycles_total"])
-	}
-	var b strings.Builder
-	if _, err := reg.WriteTo(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"go_gc_pause_seconds_bucket", "go_goroutines", "process_open_fds"} {
-		if !strings.Contains(b.String(), want) {
-			t.Fatalf("exposition missing %s:\n%s", want, b.String())
-		}
-	}
-}
-
-func TestOpenFDs(t *testing.T) {
-	n := OpenFDs()
-	if runtime.GOOS == "linux" && n < 0 {
-		t.Skip("/proc unavailable in sandbox")
-	}
-	if n == 0 {
-		t.Fatalf("OpenFDs = 0; a test process holds at least stdio")
-	}
-}
 
 func TestWatchdogTransitions(t *testing.T) {
 	reg := obs.NewRegistry()
@@ -113,89 +75,4 @@ func TestWatchdogStartStop(t *testing.T) {
 
 func TestWatchdogStopWithoutStart(t *testing.T) {
 	NewWatchdog(0).Stop()
-}
-
-func TestSLOWindowsAndBurn(t *testing.T) {
-	tr := NewSLO(SLOConfig{
-		Objective:        0.99,
-		LatencyObjective: 0.90,
-		LatencyTarget:    100 * time.Millisecond,
-		Windows:          []time.Duration{10 * time.Second, time.Minute},
-	})
-	now := time.Unix(1_000_000, 0)
-	tr.now = func() time.Time { return now }
-
-	// 20 requests in the current second: 1 failure, 2 slow.
-	for i := 0; i < 20; i++ {
-		ok := i != 0
-		lat := 10 * time.Millisecond
-		if i < 2 {
-			lat = time.Second
-		}
-		tr.Observe(ok, lat)
-	}
-	ws := tr.Windows()
-	if len(ws) != 2 {
-		t.Fatalf("windows = %d", len(ws))
-	}
-	short := ws[0]
-	if short.Total != 20 || short.Errors != 1 || short.Slow != 2 {
-		t.Fatalf("short window = %+v", short)
-	}
-	// errFrac 0.05 over a 0.01 budget → burn 5; slowFrac 0.1 over 0.1 → 1.
-	if burn := short.AvailabilityBurn; burn < 4.99 || burn > 5.01 {
-		t.Fatalf("availability burn = %v, want 5", burn)
-	}
-	if burn := short.LatencyBurn; burn < 0.99 || burn > 1.01 {
-		t.Fatalf("latency burn = %v, want 1", burn)
-	}
-	if sr := short.SuccessRate; sr < 0.949 || sr > 0.951 {
-		t.Fatalf("success rate = %v", sr)
-	}
-
-	// 15 seconds later the 10s window is empty, the 1m window still sees it.
-	now = now.Add(15 * time.Second)
-	ws = tr.Windows()
-	if ws[0].Total != 0 || ws[0].AvailabilityBurn != 0 || ws[0].SuccessRate != 1 {
-		t.Fatalf("expired short window = %+v", ws[0])
-	}
-	if ws[1].Total != 20 {
-		t.Fatalf("long window = %+v", ws[1])
-	}
-
-	// Ring wraparound: after the long window passes, everything expires.
-	now = now.Add(2 * time.Minute)
-	if ws := tr.Windows(); ws[1].Total != 0 {
-		t.Fatalf("expired long window = %+v", ws[1])
-	}
-	if total, errs, slow := tr.Totals(); total != 20 || errs != 1 || slow != 2 {
-		t.Fatalf("lifetime totals = %d %d %d", total, errs, slow)
-	}
-}
-
-func TestSLODefaultsAndNil(t *testing.T) {
-	tr := NewSLO(SLOConfig{})
-	cfg := tr.Config()
-	if cfg.Objective != 0.999 || cfg.LatencyTarget != 30*time.Second || len(cfg.Windows) != 3 {
-		t.Fatalf("defaults = %+v", cfg)
-	}
-	var nilTr *SLOTracker
-	nilTr.Observe(true, time.Second)
-	if nilTr.Windows() != nil {
-		t.Fatal("nil tracker windows")
-	}
-}
-
-func TestSLORegister(t *testing.T) {
-	tr := NewSLO(SLOConfig{Windows: []time.Duration{10 * time.Second}})
-	reg := obs.NewRegistry()
-	tr.Register(reg, "lapserved")
-	tr.Observe(false, time.Minute)
-	snap := reg.Snapshot()
-	if snap[`lapserved_slo_requests_total`] != 1 || snap[`lapserved_slo_request_errors_total`] != 1 {
-		t.Fatalf("snapshot = %v", snap)
-	}
-	if snap[`lapserved_slo_burn_rate{slo="availability",window="10s"}`] <= 0 {
-		t.Fatalf("burn gauge missing/zero: %v", snap)
-	}
 }

@@ -1,3 +1,7 @@
+// Package health is lapserved's per-subsystem watchdog: probes that
+// turn a stalled queue, a run past its deadline budget, an erroring
+// checkpoint store or an open breaker into gauge flips, /readyz detail
+// and transition events.
 package health
 
 import (
@@ -22,8 +26,8 @@ func Degraded(detail string) Status { return Status{Healthy: false, Detail: deta
 // Watchdog periodically probes named subsystems (admission queue,
 // deadline budget, checkpoint store, breaker, ...) and surfaces each as
 // a 0/1 gauge plus an edge-triggered transition callback — the callback
-// is how degradations become journal events without the probes knowing
-// about the journal.
+// is how degradations become events without the probes knowing about
+// the event stream.
 //
 // Add all checks, then Register, then Start. Probes run from a single
 // goroutine; a probe may keep closure state (e.g. last-seen error

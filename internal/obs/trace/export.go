@@ -106,9 +106,10 @@ func trackMeta(t *Tracer) []chromeEvent {
 	return out
 }
 
-// jsonlEvent is the compact JSONL record: one object per line, native
-// span/parent IDs, attrs as a flat object.
-type jsonlEvent struct {
+// Record is an event's one wire form: a line of WriteJSONL, the data of
+// a lapserved /v1/events frame and a line of its diagnostics bundle's
+// events.jsonl. IDs are native, attrs a flat object.
+type Record struct {
 	Seq    uint64         `json:"seq"`
 	Ph     string         `json:"ph"`
 	Name   string         `json:"name"`
@@ -121,18 +122,21 @@ type jsonlEvent struct {
 	Attrs  map[string]any `json:"attrs,omitempty"`
 }
 
-// WriteJSONL renders the resident events as one compact JSON object per
-// line, in emission order — the streaming-friendly export for log
-// pipelines.
+// Record returns ev's wire form.
+func (ev Event) Record() Record {
+	return Record{
+		Seq: ev.Seq, Ph: string(ev.Phase), Name: ev.Name,
+		Pid: ev.Pid, Track: ev.Track, TS: ev.TS, Dur: ev.Dur,
+		ID: ev.ID, Parent: ev.Parent, Attrs: attrMap(ev.Attrs),
+	}
+}
+
+// WriteJSONL renders the resident events as one Record per line, in
+// emission order — the streaming-friendly export for log pipelines.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	for _, ev := range t.Events() {
-		rec := jsonlEvent{
-			Seq: ev.Seq, Ph: string(ev.Phase), Name: ev.Name,
-			Pid: ev.Pid, Track: ev.Track, TS: ev.TS, Dur: ev.Dur,
-			ID: ev.ID, Parent: ev.Parent, Attrs: attrMap(ev.Attrs),
-		}
-		if err := enc.Encode(rec); err != nil {
+		if err := enc.Encode(ev.Record()); err != nil {
 			return err
 		}
 	}

@@ -1,8 +1,9 @@
-// Package trace is a dependency-free execution tracer for the
-// simulation stack: nested spans with attributes, propagated explicitly
-// through context.Context, recorded into a bounded in-memory ring and
-// exported as Chrome trace-event JSON (loadable in Perfetto or
-// chrome://tracing) or a compact JSONL stream.
+// Package trace is the tree's one event ring: a dependency-free tracer
+// for nested spans with attributes, propagated explicitly through
+// context.Context, counter samples and instant (lifecycle) events,
+// recorded into a bounded in-memory ring, fanned out to live
+// subscribers, and exported as Chrome trace-event JSON (loadable in
+// Perfetto or chrome://tracing) or as JSONL Records.
 //
 // Design:
 //
@@ -23,6 +24,12 @@
 //     simulated-time events (internal/sim's interval telemetry) record
 //     simulated cycles on PidSim, so a single file can carry both and
 //     Perfetto renders them as separate processes.
+//   - Live subscribers (stream.go): Subscribe replays resident events
+//     from a sequence number and then receives each new matching event
+//     through a bounded drop-oldest queue that emit fills under the
+//     mutex it already holds, so emitters never block. A tracer without
+//     subscribers pays one length check per event, and Streaming, the
+//     gate for high-rate producers, is one atomic load.
 package trace
 
 import (
@@ -127,6 +134,7 @@ type Tracer struct {
 	gen     atomic.Uint64 // advanced by Reset; older spans record nothing
 	epoch   time.Time
 	zero    atomic.Int64 // Now's origin in µs since epoch, moved by Reset
+	active  atomic.Int32 // live subscribers, read by Streaming
 
 	mu sync.Mutex
 	// buf holds the resident events. It grows by appending until it
@@ -137,6 +145,9 @@ type Tracer struct {
 	next    int // oldest event, overwritten by the next Emit once full
 	dropped uint64
 	tracks  map[trackKey]string // viewer lane names, emitted at export
+
+	subs       map[*Subscriber]struct{}
+	subDropped uint64 // events dropped from full subscriber queues
 }
 
 type trackKey struct {
@@ -197,7 +208,8 @@ func (t *Tracer) SetEnabled(on bool) {
 // if it were new: it drops the resident events and track names,
 // restarts IDs, Seq and the clock, and arms the tracer. A span opened
 // before the reset records nothing, even if it ends after it. The ring
-// keeps its storage up to keepRing events.
+// keeps its storage up to keepRing events. Subscribers are not reset:
+// a tracer that is reused has none.
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -262,6 +274,9 @@ func (t *Tracer) emit(ev Event, gen uint64) {
 		return
 	}
 	ev.Seq = t.seq.Add(1)
+	if len(t.subs) > 0 {
+		t.fanOut(ev)
+	}
 	if len(t.buf) < t.max {
 		if len(t.buf) == cap(t.buf) {
 			grown := make([]Event, len(t.buf), min(max(2*cap(t.buf), minRing), t.max))

@@ -7,7 +7,9 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestSpanNestingAndContextPropagation(t *testing.T) {
@@ -288,7 +290,7 @@ func TestJSONLExport(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d JSONL lines, want 2", len(lines))
 	}
-	var rec jsonlEvent
+	var rec Record
 	if err := json.Unmarshal([]byte(lines[0]), &rec); err != nil {
 		t.Fatalf("line 0 is not valid JSON: %v", err)
 	}
@@ -389,5 +391,406 @@ func TestAttrValues(t *testing.T) {
 		if got := c.a.Value(); got != c.want {
 			t.Errorf("%s: Value() = %#v, want %#v", c.a.Key, got, c.want)
 		}
+	}
+}
+
+// drain reads from s until want events arrived, returning them with the
+// drops Next reported.
+func drain(t *testing.T, s *Subscriber, want int) ([]Event, uint64) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var out []Event
+	var drops uint64
+	for len(out) < want {
+		batch, d, err := s.Next(ctx)
+		if err != nil {
+			t.Fatalf("Next: %v (got %d/%d events)", err, len(out), want)
+		}
+		out = append(out, batch...)
+		drops += d
+	}
+	return out, drops
+}
+
+// attr returns ev's attribute key, or nil.
+func attr(ev Event, key string) any {
+	for _, a := range ev.Attrs {
+		if a.Key == key {
+			return a.Value()
+		}
+	}
+	return nil
+}
+
+func TestInstantSubscribeBasic(t *testing.T) {
+	tr := New(16)
+	if tr.Streaming() {
+		t.Fatal("fresh tracer reports streaming")
+	}
+	s := tr.Subscribe(0, 0, Filter{})
+	defer s.Close()
+	if !tr.Streaming() {
+		t.Fatal("tracer with a subscriber not streaming")
+	}
+	tr.Instant("run.start", Str("run", "w|p"), Str("trace_id", "req-000001"))
+	tr.Instant("run.finish", Str("run", "w|p"), Uint("cycles", 42))
+	got, drops := drain(t, s, 2)
+	if drops != 0 {
+		t.Fatalf("unexpected drops: %d", drops)
+	}
+	if got[0].Name != "run.start" || got[1].Name != "run.finish" {
+		t.Fatalf("names = %q, %q", got[0].Name, got[1].Name)
+	}
+	if got[0].Seq != 1 || got[1].Seq != 2 {
+		t.Fatalf("seqs = %d, %d; want 1, 2", got[0].Seq, got[1].Seq)
+	}
+	if got[0].Phase != PhaseInstant || got[0].Pid != PidWall {
+		t.Fatalf("instant recorded as phase %q on pid %d", got[0].Phase, got[0].Pid)
+	}
+	if attr(got[0], "trace_id") != "req-000001" || attr(got[1], "cycles") != uint64(42) {
+		t.Fatalf("attrs = %+v, %+v", got[0].Attrs, got[1].Attrs)
+	}
+	rec := got[1].Record()
+	if rec.Ph != "i" || rec.Attrs["run"] != "w|p" {
+		t.Fatalf("record = %+v", rec)
+	}
+}
+
+// TestNilTracerStreamSafe pins the streaming API on a nil tracer: no
+// call panics, nothing streams, and a subscriber is born closed.
+func TestNilTracerStreamSafe(t *testing.T) {
+	var nilT *Tracer
+	if nilT.Streaming() {
+		t.Fatal("nil tracer streaming")
+	}
+	nilT.Instant("x") // must not panic
+	if nilT.Len() != 0 || nilT.Events() != nil {
+		t.Fatal("nil tracer holds events")
+	}
+	nilT.CloseSubscribers()
+	if live, dropped := nilT.Subscribers(); live != 0 || dropped != 0 {
+		t.Fatalf("nil tracer has %d subscribers, %d dropped", live, dropped)
+	}
+	s := nilT.Subscribe(4, 0, Filter{})
+	if _, _, err := s.Next(context.Background()); err != ErrClosed {
+		t.Fatalf("Next on a nil tracer's subscriber: %v, want ErrClosed", err)
+	}
+	s.Close()
+}
+
+// TestRingBoundAndReplay pins what a reconnecting subscriber can get
+// back: replay draws only on the resident ring, so after 10 instants
+// into a 4-slot ring it yields the newest 4 (Seq 7..10), and a later
+// from keeps the newest events from there on.
+func TestRingBoundAndReplay(t *testing.T) {
+	tr := New(4)
+	for i := 0; i < 10; i++ {
+		tr.Instant(fmt.Sprintf("k%d", i))
+	}
+	if tr.Len() != 4 || tr.Dropped() != 6 {
+		t.Fatalf("Len = %d, Dropped = %d; want 4, 6", tr.Len(), tr.Dropped())
+	}
+	for _, c := range []struct {
+		from  uint64
+		first uint64
+	}{{1, 7}, {7, 7}, {9, 9}} {
+		s := tr.Subscribe(0, c.from, Filter{})
+		want := int(10 - c.first + 1)
+		got, drops := drain(t, s, want)
+		s.Close()
+		if len(got) != want || drops != 0 {
+			t.Fatalf("from %d: replayed %d events with %d drops, want %d and 0", c.from, len(got), drops, want)
+		}
+		for i, ev := range got {
+			if wantSeq := c.first + uint64(i); ev.Seq != wantSeq || ev.Name != fmt.Sprintf("k%d", wantSeq-1) {
+				t.Fatalf("from %d: event %d = %q Seq %d, want k%d Seq %d", c.from, i, ev.Name, ev.Seq, wantSeq-1, wantSeq)
+			}
+		}
+	}
+	s := tr.Subscribe(0, 11, Filter{})
+	s.Close()
+	if got, _, err := s.Next(context.Background()); err != ErrClosed {
+		t.Fatalf("from past the newest event: replayed %d events (%v), want none", len(got), err)
+	}
+}
+
+func TestFilterNameAndRun(t *testing.T) {
+	tr := New(32)
+	s := tr.Subscribe(0, 0, Filter{Names: []string{"run.*", "drain.begin"}})
+	defer s.Close()
+	byRun := tr.Subscribe(0, 0, Filter{Run: "a|p"})
+	defer byRun.Close()
+
+	tr.Instant("run.start", Str("run", "a|p"))
+	tr.Instant("interval", Str("run", "a|p"))
+	tr.Instant("drain.begin")
+	tr.Instant("drain.end")
+	tr.Instant("run.finish", Str("run", "b|p"))
+
+	got, _ := drain(t, s, 3)
+	for i, want := range []string{"run.start", "drain.begin", "run.finish"} {
+		if got[i].Name != want {
+			t.Fatalf("filtered event %d = %q, want %q", i, got[i].Name, want)
+		}
+	}
+	gotRun, _ := drain(t, byRun, 2)
+	if gotRun[0].Name != "run.start" || gotRun[1].Name != "interval" {
+		t.Fatalf("run-filtered names = %q, %q", gotRun[0].Name, gotRun[1].Name)
+	}
+}
+
+// TestSlowSubscriberDropsOldest pins the backpressure contract: a
+// subscriber that never drains loses its oldest events (counted), and
+// the emitter never blocks.
+func TestSlowSubscriberDropsOldest(t *testing.T) {
+	tr := New(64)
+	s := tr.Subscribe(4, 0, Filter{})
+	defer s.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			tr.Instant("burst")
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("emitter blocked on a slow subscriber")
+	}
+	got, drops := drain(t, s, 4)
+	if drops != 16 {
+		t.Fatalf("drops = %d, want 16", drops)
+	}
+	for i, ev := range got {
+		if want := uint64(17 + i); ev.Seq != want {
+			t.Fatalf("survivor %d has Seq %d, want %d", i, ev.Seq, want)
+		}
+	}
+	if _, dropped := tr.Subscribers(); dropped != 16 {
+		t.Fatalf("tracer counts %d subscriber drops, want 16", dropped)
+	}
+}
+
+// TestReplayMonotoneAcrossReconnect pins the reconnect contract: a
+// subscriber that resubscribes from last-seen+1 sees a strictly
+// increasing sequence with no duplicates and, while the ring still
+// holds them, no gaps.
+func TestReplayMonotoneAcrossReconnect(t *testing.T) {
+	tr := New(128)
+	s := tr.Subscribe(0, 0, Filter{})
+	for i := 0; i < 5; i++ {
+		tr.Instant("a")
+	}
+	got, _ := drain(t, s, 5)
+	last := got[len(got)-1].Seq
+	s.Close()
+
+	for i := 0; i < 7; i++ {
+		tr.Instant("b") // emitted while disconnected
+	}
+	s2 := tr.Subscribe(0, last+1, Filter{})
+	defer s2.Close()
+	for i := 0; i < 3; i++ {
+		tr.Instant("c")
+	}
+	got2, _ := drain(t, s2, 10)
+	seq := last
+	for i, ev := range got2 {
+		if ev.Seq != seq+1 {
+			t.Fatalf("event %d: seq %d after %d (gap or duplicate)", i, ev.Seq, seq)
+		}
+		seq = ev.Seq
+	}
+	if seq != 15 {
+		t.Fatalf("final seq = %d, want 15", seq)
+	}
+}
+
+func TestReplayFilteredFromSeq(t *testing.T) {
+	tr := New(64)
+	tr.Instant("keep")
+	tr.Instant("skip")
+	tr.Instant("keep")
+	s := tr.Subscribe(0, 2, Filter{Names: []string{"keep"}})
+	defer s.Close()
+	got, _ := drain(t, s, 1)
+	if got[0].Seq != 3 || got[0].Name != "keep" {
+		t.Fatalf("replayed %+v, want seq 3 named keep", got[0])
+	}
+}
+
+func TestCloseDrainsThenErrClosed(t *testing.T) {
+	tr := New(16)
+	s := tr.Subscribe(0, 0, Filter{})
+	tr.Instant("x")
+	s.Close()
+	got, _, err := s.Next(context.Background())
+	if err != nil || len(got) != 1 {
+		t.Fatalf("Next after Close = %v, err %v; want the queued event", got, err)
+	}
+	if _, _, err := s.Next(context.Background()); err != ErrClosed {
+		t.Fatalf("drained Next err = %v, want ErrClosed", err)
+	}
+	if tr.Streaming() {
+		t.Fatal("tracer still streaming after its sole subscriber closed")
+	}
+	s.Close() // idempotent
+}
+
+func TestCloseSubscribers(t *testing.T) {
+	tr := New(16)
+	s1 := tr.Subscribe(0, 0, Filter{})
+	s2 := tr.Subscribe(0, 0, Filter{})
+	tr.Instant("before")
+	tr.CloseSubscribers()
+	for i, s := range []*Subscriber{s1, s2} {
+		if got, _, err := s.Next(context.Background()); err != nil || len(got) != 1 {
+			t.Fatalf("s%d: Next = %d events, err %v; want the queued event", i+1, len(got), err)
+		}
+		if _, _, err := s.Next(context.Background()); err != ErrClosed {
+			t.Fatalf("s%d err = %v, want ErrClosed", i+1, err)
+		}
+	}
+	if live, _ := tr.Subscribers(); live != 0 || tr.Streaming() {
+		t.Fatalf("%d subscribers live after CloseSubscribers", live)
+	}
+	tr.Instant("after") // the ring still records
+	if evs := tr.Events(); len(evs) != 2 || evs[1].Name != "after" {
+		t.Fatalf("events after CloseSubscribers = %+v", evs)
+	}
+}
+
+func TestNextContextCancel(t *testing.T) {
+	tr := New(16)
+	s := tr.Subscribe(0, 0, Filter{})
+	defer s.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if _, _, err := s.Next(ctx); err != context.DeadlineExceeded {
+		t.Fatalf("Next err = %v, want DeadlineExceeded", err)
+	}
+}
+
+// TestSubscriberHammerRace runs concurrent emitters, subscribers that
+// connect, drain and close, and CloseSubscribers sweeps, all at once
+// (under -race). Each subscriber's sequence must increase; the race
+// detector checks the rest.
+func TestSubscriberHammerRace(t *testing.T) {
+	tr := New(256)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	var emitted atomic.Uint64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				tr.Instant("hammer", Str("run", fmt.Sprintf("g%d", g%2)))
+				emitted.Add(1)
+			}
+		}(g)
+	}
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 30; i++ {
+				s := tr.Subscribe(8, uint64(i), Filter{Run: fmt.Sprintf("g%d", g%2)})
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+				var last uint64
+				for {
+					batch, _, err := s.Next(ctx)
+					if err != nil {
+						break
+					}
+					for _, ev := range batch {
+						if ev.Seq <= last {
+							t.Errorf("non-monotone seq %d after %d", ev.Seq, last)
+						}
+						last = ev.Seq
+					}
+				}
+				cancel()
+				s.Close()
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 20; i++ {
+			tr.CloseSubscribers()
+			time.Sleep(time.Millisecond)
+		}
+	}()
+	time.Sleep(150 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+	if got := uint64(tr.Len()) + tr.Dropped(); got != emitted.Load() {
+		t.Fatalf("tracer recorded %d events, producers emitted %d", got, emitted.Load())
+	}
+}
+
+// BenchmarkStreamingGate measures the idle gate high-rate producers
+// check: with no subscriber it is one atomic load and allocates
+// nothing.
+func BenchmarkStreamingGate(b *testing.B) {
+	tr := New(64)
+	var hits int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if tr.Streaming() {
+			hits++
+		}
+	}
+	if hits != 0 {
+		b.Fatal("unexpected streaming state")
+	}
+}
+
+// BenchmarkStreamingGateNil is the gate with no tracer at all: one nil
+// check.
+func BenchmarkStreamingGateNil(b *testing.B) {
+	var tr *Tracer
+	var hits int
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if tr.Streaming() {
+			hits++
+		}
+	}
+	if hits != 0 {
+		b.Fatal("unexpected streaming state")
+	}
+}
+
+// BenchmarkInstantNoSubscribers measures ring-only emission: lifecycle
+// events record even when nobody watches.
+func BenchmarkInstantNoSubscribers(b *testing.B) {
+	tr := New(1024)
+	run := Str("run", "w|p")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Instant("run.finish", run)
+	}
+}
+
+// BenchmarkInstantOneSubscriber measures fan-out to one live subscriber
+// that never drains, so its queue drops its oldest event each time.
+func BenchmarkInstantOneSubscriber(b *testing.B) {
+	tr := New(1024)
+	s := tr.Subscribe(256, 0, Filter{})
+	defer s.Close()
+	run := Str("run", "w|p")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tr.Instant("interval", run)
 	}
 }

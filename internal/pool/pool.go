@@ -30,8 +30,8 @@ var (
 	taskErrors atomic.Uint64 // units that returned an error (injected faults included)
 	taskPanics atomic.Uint64 // units whose panic was recovered
 	// panicObserver, when set, receives every recovered panic (Run and
-	// Warm passes alike) so contained failures can surface in an event
-	// journal instead of only as a counter tick.
+	// Warm passes alike) so contained failures can surface as events
+	// instead of only as a counter tick.
 	panicObserver atomic.Pointer[func(key string, v any)]
 )
 

@@ -9,7 +9,6 @@ import (
 
 	lap "repro"
 	"repro/internal/fault"
-	"repro/internal/obs/journal"
 	"repro/internal/pool"
 	"repro/internal/trace"
 )
@@ -178,39 +177,6 @@ type StatsResponse struct {
 	// counters; absent when no store is configured, so storeless
 	// responses stay byte-identical to pre-checkpoint versions.
 	Checkpoint *CheckpointStats `json:"checkpoint,omitempty"`
-	// Events reports the operational journal's counters (emitted events,
-	// ring/subscriber drops, live /v1/events subscribers); absent when
-	// the journal is disabled.
-	Events *journal.Stats `json:"events,omitempty"`
-	// SLO reports the rolling-window request objectives and burn rates.
-	SLO *SLOStats `json:"slo,omitempty"`
-}
-
-// SLOStats is the /v1/stats slo block: the configured objectives plus
-// one rolling-window accounting row per configured window.
-type SLOStats struct {
-	// Objective is the availability target (fraction of run/sweep
-	// requests that must not fail server-side).
-	Objective float64 `json:"objective"`
-	// LatencyObjective is the fraction of requests that must finish
-	// within LatencyTargetSec.
-	LatencyObjective float64     `json:"latency_objective"`
-	LatencyTargetSec float64     `json:"latency_target_sec"`
-	Windows          []SLOWindow `json:"windows"`
-}
-
-// SLOWindow is one rolling window's request accounting. Burn rates are
-// the SRE convention: bad-event fraction divided by the error budget
-// (1 − objective); 1.0 burns the budget exactly at the window's pace,
-// higher exhausts it early.
-type SLOWindow struct {
-	Window           string  `json:"window"`
-	Total            uint64  `json:"total"`
-	Errors           uint64  `json:"errors"`
-	Slow             uint64  `json:"slow"`
-	SuccessRate      float64 `json:"success_rate"`
-	AvailabilityBurn float64 `json:"availability_burn"`
-	LatencyBurn      float64 `json:"latency_burn"`
 }
 
 // ReadyzResponse is the GET /readyz payload. Ready gates routing:
@@ -329,7 +295,7 @@ const (
 // resolve time, so a concurrent re-upload cannot tear a run).
 type runSpec struct {
 	key runKey
-	// cell labels the cell in spans, journal events, failures and
+	// cell labels the cell in spans, events, failures and
 	// fault-point matches: "workload|policy", e.g. "mix:WH1[...]|LAP".
 	cell     string
 	cfg      lap.Config

@@ -57,7 +57,7 @@ type breaker struct {
 	met       breakerMetrics
 	// onTransition, when set, hears every state change with the
 	// destination state's name ("open", "half-open", "closed") — how
-	// transitions become journal events. Called with b.mu held, so it
+	// transitions become events. Called with b.mu held, so it
 	// must not call back into the breaker.
 	onTransition func(to string)
 

@@ -32,33 +32,30 @@ type bundleMeta struct {
 // Config fields (registry, logger, checkpoint store) render as
 // attached/not-attached booleans.
 type resolvedConfig struct {
-	Jobs                int     `json:"jobs"`
-	QueueDepth          int     `json:"queue_depth"`
-	RequestTimeoutSec   float64 `json:"request_timeout_sec"`
-	MemoEntries         int     `json:"memo_entries"`
-	MaxTraceBytes       int64   `json:"max_trace_bytes"`
-	MaxAccesses         uint64  `json:"max_accesses"`
-	RetryMax            int     `json:"retry_max"`
-	RetryBackoffMS      float64 `json:"retry_backoff_ms"`
-	BreakerThreshold    int     `json:"breaker_threshold"`
-	BreakerCooldownMS   float64 `json:"breaker_cooldown_ms"`
-	TraceRequests       int     `json:"trace_requests"`
-	TraceDir            string  `json:"trace_dir,omitempty"`
-	TraceStoreDir       string  `json:"trace_store_dir,omitempty"`
-	CheckpointStore     bool    `json:"checkpoint_store"`
-	CheckpointEvery     uint64  `json:"checkpoint_every"`
-	JournalCapacity     int     `json:"journal_capacity"`
-	WatchdogIntervalMS  float64 `json:"watchdog_interval_ms"`
-	SLOObjective        float64 `json:"slo_objective"`
-	SLOLatencyTargetSec float64 `json:"slo_latency_target_sec"`
+	Jobs               int     `json:"jobs"`
+	QueueDepth         int     `json:"queue_depth"`
+	RequestTimeoutSec  float64 `json:"request_timeout_sec"`
+	MemoEntries        int     `json:"memo_entries"`
+	MaxTraceBytes      int64   `json:"max_trace_bytes"`
+	MaxAccesses        uint64  `json:"max_accesses"`
+	RetryMax           int     `json:"retry_max"`
+	RetryBackoffMS     float64 `json:"retry_backoff_ms"`
+	BreakerThreshold   int     `json:"breaker_threshold"`
+	BreakerCooldownMS  float64 `json:"breaker_cooldown_ms"`
+	TraceRequests      int     `json:"trace_requests"`
+	TraceDir           string  `json:"trace_dir,omitempty"`
+	TraceStoreDir      string  `json:"trace_store_dir,omitempty"`
+	CheckpointStore    bool    `json:"checkpoint_store"`
+	CheckpointEvery    uint64  `json:"checkpoint_every"`
+	WatchdogIntervalMS float64 `json:"watchdog_interval_ms"`
 }
 
 // handleBundle serves GET /debug/bundle: one tar.gz snapshot of
 // everything a support engineer asks for first — metrics exposition,
-// recent journal events, recent request traces, the resolved config,
-// /v1/stats (checkpoint-store stats included), and goroutine/heap pprof
-// profiles — assembled in memory so a sick server never half-writes a
-// bundle to disk.
+// the resident events as trace JSONL records, recent request traces,
+// the resolved config, /v1/stats (checkpoint-store stats included), and
+// goroutine/heap pprof profiles — assembled in memory so a sick server
+// never half-writes a bundle to disk.
 func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	gz := gzip.NewWriter(&buf)
@@ -101,25 +98,22 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		}
 		cfg := s.cfg
 		if err := addJSON("config.json", resolvedConfig{
-			Jobs:                cfg.Jobs,
-			QueueDepth:          cfg.QueueDepth,
-			RequestTimeoutSec:   cfg.RequestTimeout.Seconds(),
-			MemoEntries:         cfg.MemoEntries,
-			MaxTraceBytes:       cfg.MaxTraceBytes,
-			MaxAccesses:         cfg.MaxAccesses,
-			RetryMax:            cfg.RetryMax,
-			RetryBackoffMS:      float64(cfg.RetryBackoff) / float64(time.Millisecond),
-			BreakerThreshold:    cfg.BreakerThreshold,
-			BreakerCooldownMS:   float64(cfg.BreakerCooldown) / float64(time.Millisecond),
-			TraceRequests:       cfg.TraceRequests,
-			TraceDir:            cfg.TraceDir,
-			TraceStoreDir:       cfg.TraceStoreDir,
-			CheckpointStore:     cfg.Checkpoints != nil,
-			CheckpointEvery:     cfg.CheckpointEvery,
-			JournalCapacity:     cfg.JournalCapacity,
-			WatchdogIntervalMS:  float64(cfg.WatchdogInterval) / float64(time.Millisecond),
-			SLOObjective:        s.slo.Config().Objective,
-			SLOLatencyTargetSec: s.slo.Config().LatencyTarget.Seconds(),
+			Jobs:               cfg.Jobs,
+			QueueDepth:         cfg.QueueDepth,
+			RequestTimeoutSec:  cfg.RequestTimeout.Seconds(),
+			MemoEntries:        cfg.MemoEntries,
+			MaxTraceBytes:      cfg.MaxTraceBytes,
+			MaxAccesses:        cfg.MaxAccesses,
+			RetryMax:           cfg.RetryMax,
+			RetryBackoffMS:     float64(cfg.RetryBackoff) / float64(time.Millisecond),
+			BreakerThreshold:   cfg.BreakerThreshold,
+			BreakerCooldownMS:  float64(cfg.BreakerCooldown) / float64(time.Millisecond),
+			TraceRequests:      cfg.TraceRequests,
+			TraceDir:           cfg.TraceDir,
+			TraceStoreDir:      cfg.TraceStoreDir,
+			CheckpointStore:    cfg.Checkpoints != nil,
+			CheckpointEvery:    cfg.CheckpointEvery,
+			WatchdogIntervalMS: float64(cfg.WatchdogInterval) / float64(time.Millisecond),
 		}); err != nil {
 			return err
 		}
@@ -133,19 +127,12 @@ func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
 		if err := addJSON("stats.json", s.statsSnapshot()); err != nil {
 			return err
 		}
-		if s.journal != nil {
-			var eb bytes.Buffer
-			for _, e := range s.journal.Recent(0) {
-				line, merr := json.Marshal(e)
-				if merr != nil {
-					continue
-				}
-				eb.Write(line)
-				eb.WriteByte('\n')
-			}
-			if err := add("events.jsonl", eb.Bytes()); err != nil {
-				return err
-			}
+		var eb bytes.Buffer
+		if err := s.events.WriteJSONL(&eb); err != nil {
+			return err
+		}
+		if err := add("events.jsonl", eb.Bytes()); err != nil {
+			return err
 		}
 		if s.traces != nil {
 			for _, id := range s.traces.recent(bundleTraceMax) {

@@ -10,7 +10,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/obs/journal"
+	otrace "repro/internal/obs/trace"
 )
 
 // eventsHeartbeat is the idle keepalive period for /v1/events streams:
@@ -18,33 +18,30 @@ import (
 // connection and lets the server notice a dead client.
 const eventsHeartbeat = 15 * time.Second
 
-// handleEvents streams the operational event journal as Server-Sent
-// Events. Each event is one SSE frame (`id:` = journal sequence,
-// `event:` = kind, `data:` = the JSON event), so a reconnecting client
-// resumes from Last-Event-ID (or an explicit ?from=seq) and observes
-// strictly increasing sequence numbers — a gap means the ring evicted
-// events while it was away.
+// handleEvents streams the events tracer as Server-Sent Events. Each
+// event is one SSE frame (`id:` = its Seq, `event:` = its name, `data:`
+// = its otrace.Record, whose ts counts microseconds since the server
+// started), so a reconnecting client resumes from Last-Event-ID (or an
+// explicit ?from=seq) and observes strictly increasing sequence
+// numbers — a gap means the ring evicted events while it was away.
 //
-// Filters: ?kind=run.*,breaker.transition (comma-separated, trailing-*
-// prefix match) and ?run=workload|policy narrow the stream server-side.
+// Filters: ?kind=run.*,breaker.transition (comma-separated event names,
+// trailing-* prefix match) and ?run=workload|policy (the "run" attr)
+// narrow the stream server-side.
 // A slow consumer never blocks emitters: its bounded queue drops oldest
 // events, and the drop count is reported in-stream as a comment before
 // the next batch.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if s.journal == nil {
-		writeJSON(w, http.StatusNotFound, errorResponse{Error: "event journal is disabled"})
-		return
-	}
 	flusher, ok := w.(http.Flusher)
 	if !ok {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "streaming unsupported"})
 		return
 	}
-	var f journal.Filter
+	var f otrace.Filter
 	if kinds := r.URL.Query().Get("kind"); kinds != "" {
 		for _, k := range strings.Split(kinds, ",") {
 			if k = strings.TrimSpace(k); k != "" {
-				f.Kinds = append(f.Kinds, k)
+				f.Names = append(f.Names, k)
 			}
 		}
 	}
@@ -66,7 +63,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	sub := s.journal.Subscribe(0, from, f)
+	sub := s.events.Subscribe(0, from, f)
 	defer sub.Close()
 
 	h := w.Header()
@@ -86,7 +83,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		cancel()
 		switch {
 		case err == nil:
-		case errors.Is(err, journal.ErrClosed):
+		case errors.Is(err, otrace.ErrClosed):
 			// Server shutdown (CloseSubscribers): the queue is drained,
 			// end the stream cleanly.
 			return
@@ -100,12 +97,12 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		if drops > 0 {
 			fmt.Fprintf(w, ": dropped %d events (slow consumer)\n\n", drops)
 		}
-		for _, e := range batch {
-			data, merr := json.Marshal(e)
+		for _, ev := range batch {
+			data, merr := json.Marshal(ev.Record())
 			if merr != nil {
-				continue // unmarshalable Fields value; skip the frame
+				continue // a NaN or Inf attr does not encode; skip the frame
 			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", e.Seq, e.Kind, data)
+			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Name, data)
 		}
 		flusher.Flush()
 	}

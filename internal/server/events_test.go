@@ -7,14 +7,17 @@ import (
 	"compress/gzip"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/obs/journal"
+	otrace "repro/internal/obs/trace"
 )
 
 // sseFrame is one parsed Server-Sent Events frame.
@@ -126,19 +129,32 @@ func (c *sseClient) collectUntil(t *testing.T, kind string, deadline time.Durati
 	}
 }
 
-// waitSubscribers polls /v1/stats until the journal reports n live
-// subscribers, so a test can order "subscribe" before "run".
-func waitSubscribers(t *testing.T, base string, n int) {
+// waitSubscribers polls until s's events tracer has n live subscribers,
+// so a test can order "subscribe" before "run".
+func waitSubscribers(t *testing.T, s *Server, n int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		st := getStats(t, base)
-		if st.Events != nil && st.Events.Subscribers >= n {
+		if live, _ := s.Events().Subscribers(); live >= n {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatalf("journal never reached %d subscribers", n)
+	t.Fatalf("the event stream never reached %d subscribers", n)
+}
+
+// record decodes a frame's data as the trace JSONL record and checks
+// that it agrees with the frame's id and event lines.
+func (f sseFrame) record(t *testing.T) otrace.Record {
+	t.Helper()
+	var rec otrace.Record
+	if err := json.Unmarshal(f.data, &rec); err != nil {
+		t.Fatalf("frame %d (%s) data is not a trace record: %v", f.id, f.event, err)
+	}
+	if rec.Seq != f.id || rec.Name != f.event || rec.Ph != "i" {
+		t.Fatalf("frame %d/%s disagrees with its record %d/%s (ph %q)", f.id, f.event, rec.Seq, rec.Name, rec.Ph)
+	}
+	return rec
 }
 
 // TestEventsSSELifecycle: a live subscriber sees the run lifecycle —
@@ -146,9 +162,9 @@ func waitSubscribers(t *testing.T, base string, n int) {
 // with strictly increasing sequence IDs, and the event payloads carry
 // the run key and the request's trace ID.
 func TestEventsSSELifecycle(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	s, ts := testServer(t, Config{})
 	c := openSSE(t, ts.URL+"/v1/events", "")
-	waitSubscribers(t, ts.URL, 1)
+	waitSubscribers(t, s, 1)
 
 	status, body, tid := postTraced(t, ts.URL+"/v1/run", RunRequest{Mix: "WL1", Accesses: smallAccesses})
 	if status != http.StatusOK {
@@ -171,22 +187,16 @@ func TestEventsSSELifecycle(t *testing.T) {
 		}
 	}
 
-	// Events decode as journal.Event and correlate: run key on every
-	// lifecycle frame, the request's trace ID threaded through.
+	// Frames decode as trace records and correlate: the run key on
+	// every lifecycle frame, the request's trace ID threaded through.
 	for _, f := range frames {
-		var e journal.Event
-		if err := json.Unmarshal(f.data, &e); err != nil {
-			t.Fatalf("frame %d (%s) data is not a journal event: %v", f.id, f.event, err)
-		}
-		if e.Seq != f.id || e.Kind != f.event {
-			t.Fatalf("frame %d/%s disagrees with payload %d/%s", f.id, f.event, e.Seq, e.Kind)
-		}
+		rec := f.record(t)
 		if f.event == "run.start" {
-			if e.Run == "" {
+			if rec.Attrs["run"] == nil {
 				t.Error("run.start event lacks a run key")
 			}
-			if tid != "" && e.Trace != tid {
-				t.Errorf("run.start trace = %q, want %q", e.Trace, tid)
+			if tid != "" && rec.Attrs["trace_id"] != tid {
+				t.Errorf("run.start trace = %v, want %q", rec.Attrs["trace_id"], tid)
 			}
 		}
 	}
@@ -196,7 +206,7 @@ func TestEventsSSELifecycle(t *testing.T) {
 // replays the retained suffix with monotone sequence numbers, and
 // ?kind= filters narrow the stream server-side.
 func TestEventsSSEReplay(t *testing.T) {
-	_, ts := testServer(t, Config{})
+	s, ts := testServer(t, Config{})
 	if status, body := post(t, ts.URL+"/v1/run", RunRequest{Mix: "WL1", Accesses: smallAccesses}); status != http.StatusOK {
 		t.Fatalf("run: %d %s", status, body)
 	}
@@ -220,7 +230,7 @@ func TestEventsSSEReplay(t *testing.T) {
 	// "I have everything through cut"; with a fresh run afterwards the
 	// stream resumes strictly after it.
 	c2 := openSSE(t, ts.URL+"/v1/events", strconv.FormatUint(cut, 10))
-	waitSubscribers(t, ts.URL, 1)
+	waitSubscribers(t, s, 1)
 	if status, body := post(t, ts.URL+"/v1/run", RunRequest{Mix: "WL2", Accesses: smallAccesses}); status != http.StatusOK {
 		t.Fatalf("second run: %d %s", status, body)
 	}
@@ -246,6 +256,202 @@ func TestEventsSSEReplay(t *testing.T) {
 	for _, f := range filtered {
 		if !strings.HasPrefix(f.event, "run.") {
 			t.Errorf("kind=run.* let %q through", f.event)
+		}
+	}
+	c3.close()
+
+	// Run filter: only the second run's frames come through, and a
+	// ?from= cut resumes strictly after it.
+	var run2 string
+	for _, f := range resumed {
+		if f.event == "run.start" {
+			run2, _ = f.record(t).Attrs["run"].(string)
+		}
+	}
+	c4 := openSSE(t, ts.URL+"/v1/events?from="+strconv.FormatUint(cut+1, 10)+"&run="+url.QueryEscape(run2), "")
+	byRun := c4.collectUntil(t, "run.finish", 5*time.Second)
+	if len(byRun) == 0 || byRun[len(byRun)-1].event != "run.finish" {
+		t.Fatalf("run=%s replay never reached run.finish (%d frames)", run2, len(byRun))
+	}
+	for _, f := range byRun {
+		if f.id <= cut {
+			t.Errorf("?from=%d replayed seq %d", cut+1, f.id)
+		}
+		if got := f.record(t).Attrs["run"]; got != run2 {
+			t.Errorf("run=%s let a %s frame for %v through", run2, f.event, got)
+		}
+	}
+}
+
+// pipeWriter is a streaming ResponseWriter whose writes block until the
+// test reads them, so a test can stall a /v1/events consumer.
+type pipeWriter struct {
+	h  http.Header
+	pw *io.PipeWriter
+}
+
+func (w pipeWriter) Header() http.Header         { return w.h }
+func (w pipeWriter) Write(p []byte) (int, error) { return w.pw.Write(p) }
+func (w pipeWriter) WriteHeader(int)             {}
+func (w pipeWriter) Flush()                      {}
+
+// TestEventsSlowConsumerDropsOldest: a /v1/events consumer that stops
+// reading loses its oldest events, never blocks the emitter, and is told
+// in-stream how many it lost; Close then drains what is queued and ends
+// the stream.
+func TestEventsSlowConsumerDropsOldest(t *testing.T) {
+	s := New(Config{})
+	pr, pw := io.Pipe()
+	req := httptest.NewRequest(http.MethodGet, "/v1/events", nil)
+	ended := make(chan struct{})
+	go func() {
+		s.handleEvents(pipeWriter{h: http.Header{}, pw: pw}, req)
+		pw.Close()
+		close(ended)
+	}()
+	rd := bufio.NewReader(pr)
+	if line, err := rd.ReadString('\n'); err != nil || !strings.HasPrefix(line, ":") {
+		t.Fatalf("stream preamble = %q, %v", line, err)
+	}
+	waitSubscribers(t, s, 1)
+
+	// The handler takes at most one queue's worth (1024) and then blocks
+	// writing it; the rest of the burst overflows its queue.
+	const burst = 5000
+	emitted := make(chan struct{})
+	go func() {
+		for i := 0; i < burst; i++ {
+			s.Events().Instant("burst")
+		}
+		close(emitted)
+	}()
+	select {
+	case <-emitted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the emitter blocked on a stalled consumer")
+	}
+	s.Close()
+
+	var frames, dropped int
+	last := uint64(0)
+	for {
+		line, err := rd.ReadString('\n')
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var n int
+		if _, err := fmt.Sscanf(line, ": dropped %d events", &n); err == nil {
+			dropped += n
+		}
+		if id, ok := strings.CutPrefix(strings.TrimSpace(line), "id: "); ok {
+			seq, _ := strconv.ParseUint(id, 10, 64)
+			if seq <= last {
+				t.Fatalf("seq %d after %d", seq, last)
+			}
+			last = seq
+			frames++
+		}
+	}
+	<-ended
+	if dropped == 0 {
+		t.Fatal("no drop comment after a stalled consumer overflowed its queue")
+	}
+	if frames+dropped != burst {
+		t.Errorf("%d frames + %d dropped, want the burst's %d", frames, dropped, burst)
+	}
+	if last != burst {
+		t.Errorf("last frame has seq %d, want the newest event %d (drop-oldest)", last, burst)
+	}
+}
+
+// sweepCells is the sweep the next two tests run: two cells of one mix.
+var sweepCells = SweepRequest{Mixes: []string{"WH1"}, Policies: []string{"LAP", "non-inclusive"}, Accesses: smallAccesses, Jobs: 2}
+
+// TestEventsSweepStory: a subscriber watching a sweep sees sweep.start
+// first, then each cell's run.start, its interval events and its
+// run.finish in that order, and sweep.finish last.
+func TestEventsSweepStory(t *testing.T) {
+	s, ts := testServer(t, Config{Jobs: 2})
+	c := openSSE(t, ts.URL+"/v1/events", "")
+	waitSubscribers(t, s, 1)
+	if status, body := post(t, ts.URL+"/v1/sweep", sweepCells); status != http.StatusOK {
+		t.Fatalf("sweep: %d %s", status, body)
+	}
+	frames := c.collectUntil(t, "sweep.finish", 30*time.Second)
+	if len(frames) == 0 || frames[0].event != "sweep.start" || frames[len(frames)-1].event != "sweep.finish" {
+		t.Fatalf("the stream does not open with sweep.start and close with sweep.finish: %d frames", len(frames))
+	}
+	type story struct{ start, intervals, finish int }
+	cells := map[string]*story{}
+	for i, f := range frames {
+		rec := f.record(t)
+		run, _ := rec.Attrs["run"].(string)
+		switch f.event {
+		case "sweep.start", "sweep.finish":
+			if i != 0 && i != len(frames)-1 {
+				t.Errorf("%s at frame %d of %d", f.event, i, len(frames))
+			}
+			continue
+		case "run.start":
+			if cells[run] != nil {
+				t.Fatalf("second run.start for %s", run)
+			}
+			cells[run] = &story{start: i}
+			continue
+		}
+		st := cells[run]
+		if st == nil || st.finish != 0 {
+			t.Fatalf("frame %d: %s for %q outside its run.start..run.finish", i, f.event, run)
+		}
+		switch f.event {
+		case "interval":
+			st.intervals++
+		case "run.finish":
+			st.finish = i
+		}
+	}
+	if len(cells) != len(sweepCells.Policies) {
+		t.Fatalf("%d cells told their story, want %d", len(cells), len(sweepCells.Policies))
+	}
+	for run, st := range cells {
+		if st.intervals == 0 || st.finish == 0 {
+			t.Errorf("%s: %d intervals, finish at frame %d", run, st.intervals, st.finish)
+		}
+	}
+}
+
+// TestSweepBodyIdenticalWithSubscriber: streaming observes and never
+// steers. A run and a sweep answer byte-identically on a server with a
+// live /v1/events subscriber and on one that never had one.
+func TestSweepBodyIdenticalWithSubscriber(t *testing.T) {
+	run := RunRequest{Mix: "WL2", Accesses: smallAccesses}
+	var bodies [2][2][]byte
+	for i, subscribe := range []bool{true, false} {
+		s, ts := testServer(t, Config{Jobs: 2})
+		if subscribe {
+			openSSE(t, ts.URL+"/v1/events", "")
+			waitSubscribers(t, s, 1)
+		}
+		for j, do := range []func() (int, []byte){
+			func() (int, []byte) { return post(t, ts.URL+"/v1/run", run) },
+			func() (int, []byte) { return post(t, ts.URL+"/v1/sweep", sweepCells) },
+		} {
+			status, body := do()
+			if status != http.StatusOK {
+				t.Fatalf("request %d: %d %s", j, status, body)
+			}
+			bodies[i][j] = body
+		}
+		if subscribe && s.Events().Len() < 10 {
+			t.Fatalf("the subscribed server recorded %d events", s.Events().Len())
+		}
+	}
+	for j, name := range []string{"run", "sweep"} {
+		if !bytes.Equal(bodies[0][j], bodies[1][j]) {
+			t.Errorf("%s body differs with a subscriber:\n%s\n%s", name, bodies[0][j], bodies[1][j])
 		}
 	}
 }
@@ -286,15 +492,15 @@ func TestReadyzBreakerOpen(t *testing.T) {
 		t.Errorf("healthz went unhealthy with the breaker open (liveness must not gate on readiness)")
 	}
 
-	// The transition itself landed in the journal.
+	// The transition itself landed in the event stream.
 	foundEv := false
-	for _, e := range s.journal.Recent(0) {
-		if e.Kind == "breaker.transition" {
+	for _, ev := range s.Events().Events() {
+		if ev.Name == "breaker.transition" {
 			foundEv = true
 		}
 	}
 	if !foundEv {
-		t.Error("no breaker.transition event in the journal")
+		t.Error("no breaker.transition event in the event stream")
 	}
 }
 
@@ -366,9 +572,9 @@ func TestDiagnosticsBundle(t *testing.T) {
 		if line == "" {
 			continue
 		}
-		var e journal.Event
-		if err := json.Unmarshal([]byte(line), &e); err != nil {
-			t.Fatalf("events.jsonl line does not parse: %v (%s)", err, line)
+		var rec otrace.Record
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Seq == 0 || rec.Name == "" {
+			t.Fatalf("events.jsonl line is not a trace record: %v (%s)", err, line)
 		}
 		lines++
 	}

@@ -147,7 +147,7 @@ func TestRequestTracingDisabled(t *testing.T) {
 		t.Fatalf("run: %d %s", status, body)
 	}
 	// The correlation ID is independent of the tracer: every request gets
-	// one (logs and journal events key on it) even when span recording is
+	// one (logs and events key on it) even when span recording is
 	// off — but the trace endpoint has nothing to serve.
 	if id == "" {
 		t.Error("tracing disabled but response lost its X-Trace-Id correlation header")

@@ -29,10 +29,10 @@
 //   - Observability: every request logs one structured line (method,
 //     route, status, bytes, duration, trace_id); simulation requests
 //     are traced (GET /v1/trace/{id}); lifecycle and per-interval
-//     telemetry events stream over GET /v1/events (SSE, resumable);
-//     rolling-window SLO burn rates and a per-subsystem watchdog feed
-//     /metrics; GET /debug/bundle assembles a one-shot diagnostics
-//     tarball.
+//     telemetry events are instants on one events tracer and stream
+//     over GET /v1/events (SSE, resumable); a per-subsystem watchdog
+//     feeds /metrics and /readyz; GET /debug/bundle assembles a
+//     one-shot diagnostics tarball.
 //   - Failure domains: a run that panics is recovered into a typed
 //     *pool.RunError — one corrupt simulation cannot take the process
 //     (or its sweep) down. Failed runs are never cached; they are
@@ -64,7 +64,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/obs"
 	"repro/internal/obs/health"
-	"repro/internal/obs/journal"
 	otrace "repro/internal/obs/trace"
 	"repro/internal/pool"
 	"repro/internal/sim"
@@ -131,17 +130,9 @@ type Config struct {
 	// out of cache keys: checkpointed and plain runs coalesce.
 	CheckpointEvery uint64
 	// Logger receives one structured line per request (method, path,
-	// status, duration, trace/span IDs); nil logs nothing.
+	// status, duration, trace/span IDs) and nothing else; nil logs
+	// nothing.
 	Logger *slog.Logger
-	// JournalCapacity bounds the operational event ring behind GET
-	// /v1/events and the diagnostics bundle (0 = journal.DefaultCapacity;
-	// negative disables the journal entirely — /v1/events then answers
-	// 404 and lifecycle events are not recorded).
-	JournalCapacity int
-	// SLO tunes the rolling-window request-objective tracker surfaced as
-	// lapserved_slo_burn_rate and the /v1/stats slo block. Zero fields
-	// take health.SLOConfig defaults.
-	SLO health.SLOConfig
 	// WatchdogInterval is the background probe period for the
 	// per-subsystem watchdog (queue stalled, run over deadline budget,
 	// checkpoint store erroring, breaker open). 0 runs no background
@@ -165,6 +156,10 @@ const (
 	defaultBreakerCooldown  = 5 * time.Second
 	defaultTraceRequests    = 64
 	defaultCheckpointEvery  = 1_000_000
+	// eventsCapacity bounds the events tracer's ring behind GET
+	// /v1/events and the bundle's events.jsonl: a long-lived server's
+	// lifecycle events plus recent interval streams.
+	eventsCapacity = 4096
 	// Profiles carry cache-hierarchy snapshots (~24 MB each at the
 	// paper's default geometry — see sample.Profile), so the profile
 	// cache is kept much smaller than the result memo: 8 entries bound
@@ -182,10 +177,9 @@ type Server struct {
 	traces   *traceLog // per-request trace exports; nil when disabled
 	sem      chan struct{}
 	breaker  *breaker
-	journal  *journal.Journal   // operational event ring; nil when disabled
-	slo      *health.SLOTracker // run/sweep request objectives
-	watchdog *health.Watchdog   // per-subsystem degradation probes
-	running  *runRegistry       // in-flight executions, for the deadline probe
+	events   *otrace.Tracer   // lifecycle and interval events behind /v1/events
+	watchdog *health.Watchdog // per-subsystem degradation probes
+	running  *runRegistry     // in-flight executions, for the deadline probe
 	started  time.Time
 
 	queued   atomic.Int64
@@ -255,13 +249,10 @@ func New(cfg Config) *Server {
 		store:    store,
 		sem:      make(chan struct{}, cfg.Jobs),
 		breaker:  newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		slo:      health.NewSLO(cfg.SLO),
+		events:   otrace.New(eventsCapacity),
 		running:  newRunRegistry(),
 		started:  time.Now(),
 		lat:      latRing{buf: make([]float64, 0, latencyWindow)},
-	}
-	if cfg.JournalCapacity >= 0 {
-		s.journal = journal.New(cfg.JournalCapacity, cfg.Logger)
 	}
 	if cfg.TraceRequests >= 0 {
 		n := cfg.TraceRequests
@@ -275,51 +266,50 @@ func New(cfg Config) *Server {
 		reg = obs.NewRegistry()
 	}
 	s.met = newServerMetrics(reg, s)
-	health.RegisterRuntime(reg)
-	s.slo.Register(reg, "lapserved")
 	s.watchdog = s.newWatchdog()
 	s.watchdog.Register(reg, "lapserved")
 	if cfg.WatchdogInterval > 0 {
 		s.watchdog.Start()
 	}
-	// Journal counters ride the registry too (Snapshot is nil-safe, so a
-	// disabled journal just exports zeros): emitted volume, the two drop
-	// paths, and how many /v1/events streams are live right now.
+	// The events tracer's counters ride the registry too: emitted volume
+	// (resident plus ring-evicted), the two drop paths, and how many
+	// /v1/events streams are live right now.
 	reg.CounterFunc("lapserved_events_emitted_total",
-		"Operational events emitted to the journal.",
-		func() uint64 { return s.journal.Snapshot().Emitted })
+		"Operational events emitted to the event stream.",
+		func() uint64 { return uint64(s.events.Len()) + s.events.Dropped() })
 	reg.CounterFunc("lapserved_events_dropped_total",
 		"Events lost to the bounded ring or slow subscriber queues.",
 		func() uint64 {
-			st := s.journal.Snapshot()
-			return st.RingDropped + st.SubDropped
+			_, dropped := s.events.Subscribers()
+			return s.events.Dropped() + dropped
 		})
 	reg.GaugeFunc("lapserved_event_subscribers",
 		"Live /v1/events subscribers.",
-		func() float64 { return float64(s.journal.Snapshot().Subscribers) })
+		func() float64 {
+			live, _ := s.events.Subscribers()
+			return float64(live)
+		})
 
-	// Lifecycle sources feed the journal without their packages knowing
-	// about it: the breaker reports transitions, the checkpoint store its
-	// durability operations, the memo its evictions. All three hooks are
-	// nil-safe no-ops when the journal is disabled (Emit on nil records
-	// nothing), so the wiring is unconditional.
+	// Lifecycle sources feed the event stream without their packages
+	// knowing about it: the breaker reports transitions, the checkpoint
+	// store its durability operations, the memo its evictions.
 	s.breaker.onTransition = func(to string) {
-		s.journal.Emit(journal.Event{Kind: "breaker.transition", Fields: journal.F("to", to)})
+		s.events.Instant("breaker.transition", otrace.Str("to", to))
 	}
 	if cfg.Checkpoints != nil {
 		cfg.Checkpoints.SetObserver(func(op, key, detail string, err error) {
-			e := journal.Event{Kind: "checkpoint." + op, Run: key}
+			attrs := []otrace.Attr{otrace.Str("run", key)}
 			if detail != "" {
-				e.Fields = journal.F("detail", detail)
+				attrs = append(attrs, otrace.Str("detail", detail))
 			}
 			if err != nil {
-				e.Msg = err.Error()
+				attrs = append(attrs, otrace.Str("msg", err.Error()))
 			}
-			s.journal.Emit(e)
+			s.events.Instant("checkpoint."+op, attrs...)
 		})
 	}
 	s.memo.SetEvictObserver(func(k runKey) {
-		s.journal.Emit(journal.Event{Kind: "memo.evict", Run: k.Workload + "|" + k.Policy})
+		s.events.Instant("memo.evict", otrace.Str("run", k.Workload+"|"+k.Policy))
 	})
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -342,11 +332,10 @@ func (s *Server) Handler() http.Handler { return s.instrument(s.mux) }
 // Metrics returns the obs registry behind GET /metrics.
 func (s *Server) Metrics() *obs.Registry { return s.met.reg }
 
-// Journal returns the operational event journal behind GET /v1/events
-// (nil when Config.JournalCapacity was negative), so the binary hosting
-// the server can route its own lifecycle — process fault hits, contained
-// pool panics, shutdown phases — into the same stream.
-func (s *Server) Journal() *journal.Journal { return s.journal }
+// Events returns the events tracer behind GET /v1/events, so the binary
+// hosting the server can record its own lifecycle — process fault hits,
+// contained pool panics — as instants in the same stream.
+func (s *Server) Events() *otrace.Tracer { return s.events }
 
 // Close releases the server's background resources: the watchdog loop
 // stops and every live event subscriber is closed (each drains its
@@ -357,14 +346,14 @@ func (s *Server) Journal() *journal.Journal { return s.journal }
 // drain open.
 func (s *Server) Close() {
 	s.watchdog.Stop()
-	s.journal.CloseSubscribers()
+	s.events.CloseSubscribers()
 }
 
 // SetDraining flips the server into (or out of) drain mode: /readyz
 // answers 503 so load balancers stop routing here, and new simulation
 // work is refused while in-flight requests finish. Liveness (/healthz)
 // stays 200 — the process is healthy, just leaving rotation. Each
-// transition lands in the event journal as drain.begin/drain.end.
+// transition lands in the event stream as drain.begin/drain.end.
 func (s *Server) SetDraining(d bool) {
 	if s.draining.Swap(d) == d {
 		return
@@ -373,8 +362,7 @@ func (s *Server) SetDraining(d bool) {
 	if d {
 		kind = "drain.begin"
 	}
-	s.journal.Emit(journal.Event{Kind: kind, Fields: journal.F(
-		"queued", s.queued.Load(), "in_flight", s.inflight.Load())})
+	s.events.Instant(kind, otrace.Int("queued", s.queued.Load()), otrace.Int("in_flight", s.inflight.Load()))
 }
 
 // admit reserves n slots in the bounded job queue, reporting false when
@@ -475,8 +463,8 @@ func (s *Server) compute(ctx context.Context, sp *runSpec, start time.Time) (*ce
 		s.running.add(sp.cell)
 		defer s.running.remove(sp.cell)
 		tid := traceIDFrom(ctx)
-		s.journal.Emit(journal.Event{Kind: "run.start", Run: sp.cell, Trace: tid,
-			Fields: journal.F("accesses", sp.accesses, "seed", sp.seed)})
+		s.events.Instant("run.start", otrace.Str("run", sp.cell), otrace.Str("trace_id", tid),
+			otrace.Uint("accesses", sp.accesses), otrace.Uint("seed", sp.seed))
 		execStart := time.Now()
 		esp := otrace.FromContext(ctx).Child("execute", otrace.Str("cell", sp.cell))
 		res, err := s.execute(sp, s.runTelemetry(sp, tid))
@@ -485,16 +473,16 @@ func (s *Server) compute(ctx context.Context, sp *runSpec, start time.Time) (*ce
 			esp.End()
 		}
 		if err != nil {
-			s.journal.Emit(journal.Event{Kind: "run.failed", Run: sp.cell, Trace: tid,
-				Msg: err.Error(), Fields: journal.F("kind", errKind(err))})
+			s.events.Instant("run.failed", otrace.Str("run", sp.cell), otrace.Str("trace_id", tid),
+				otrace.Str("msg", err.Error()), otrace.Str("kind", errKind(err)))
 			return nil, err
 		}
 		d := time.Since(execStart).Seconds()
 		s.lat.add(d)
 		s.met.latComputed.Observe(d)
 		s.met.recordRun(res, d)
-		s.journal.Emit(journal.Event{Kind: "run.finish", Run: sp.cell, Trace: tid,
-			Fields: journal.F("duration_ms", d*1000, "cycles", res.Cycles, "mpki", res.MPKI())})
+		s.events.Instant("run.finish", otrace.Str("run", sp.cell), otrace.Str("trace_id", tid),
+			otrace.Float("duration_ms", d*1000), otrace.Uint("cycles", res.Cycles), otrace.Float("mpki", res.MPKI()))
 		c := &cell{res: res}
 		if body, err := json.Marshal(sp.result(res)); err == nil {
 			c.body = append(body, '\n')
@@ -705,11 +693,6 @@ func (s *Server) statsSnapshot() StatsResponse {
 			BytesRead:       m.BytesRead(),
 		}
 	}
-	var ev *journal.Stats
-	if s.journal != nil {
-		st := s.journal.Snapshot()
-		ev = &st
-	}
 	return StatsResponse{
 		Computed:          ms.Computed,
 		Recalled:          ms.Recalled,
@@ -728,35 +711,11 @@ func (s *Server) statsSnapshot() StatsResponse {
 		BreakerOpens:      bs.opens,
 		BreakerShed:       bs.shed,
 		Checkpoint:        ck,
-		Events:            ev,
-		SLO:               s.sloStats(),
 	}
-}
-
-// sloStats shapes the SLO tracker's rolling windows for the wire.
-func (s *Server) sloStats() *SLOStats {
-	cfg := s.slo.Config()
-	out := &SLOStats{
-		Objective:        cfg.Objective,
-		LatencyObjective: cfg.LatencyObjective,
-		LatencyTargetSec: cfg.LatencyTarget.Seconds(),
-	}
-	for _, w := range s.slo.Windows() {
-		out.Windows = append(out.Windows, SLOWindow{
-			Window:           w.Window,
-			Total:            w.Total,
-			Errors:           w.Errors,
-			Slow:             w.Slow,
-			SuccessRate:      w.SuccessRate,
-			AvailabilityBurn: w.AvailabilityBurn,
-			LatencyBurn:      w.LatencyBurn,
-		})
-	}
-	return out
 }
 
 // handleStats reports the memo counters, queue occupancy, run latency
-// quantiles, SLO windows, and journal counters.
+// quantiles, failure and breaker counters, and checkpoint counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.statsSnapshot())
 }
@@ -883,8 +842,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	sweepStart := time.Now()
-	s.journal.Emit(journal.Event{Kind: "sweep.start", Trace: traceIDFrom(ctx),
-		Fields: journal.F("cells", len(specs), "mixes", len(req.Mixes), "policies", len(req.Policies))})
+	s.events.Instant("sweep.start", otrace.Str("trace_id", traceIDFrom(ctx)),
+		otrace.Int("cells", int64(len(specs))), otrace.Int("mixes", int64(len(req.Mixes))),
+		otrace.Int("policies", int64(len(req.Policies))))
 
 	// Warm pass: fan the grid onto the pool. Duplicate cells coalesce in
 	// the memo, failures surface during collection (a failed warm run is
@@ -927,9 +887,10 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Results = append(resp.Results, sp.result(c.res))
 	}
-	s.journal.Emit(journal.Event{Kind: "sweep.finish", Trace: traceIDFrom(ctx),
-		Fields: journal.F("cells", len(specs), "failed", resp.Failed, "cancelled", resp.Cancelled,
-			"duration_ms", time.Since(sweepStart).Seconds()*1000)})
+	s.events.Instant("sweep.finish", otrace.Str("trace_id", traceIDFrom(ctx)),
+		otrace.Int("cells", int64(len(specs))), otrace.Int("failed", int64(resp.Failed)),
+		otrace.Int("cancelled", int64(resp.Cancelled)),
+		otrace.Float("duration_ms", time.Since(sweepStart).Seconds()*1000))
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -981,9 +942,9 @@ func (s *Server) handleTraceUpload(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusInternalServerError, errorResponse{Error: err.Error()})
 		return
 	}
-	s.journal.Emit(journal.Event{Kind: "trace.upload", Trace: traceIDFrom(r.Context()),
-		Fields: journal.F("name", name, "records", st.records,
-			"digest", fmt.Sprintf("%016x", st.digest))})
+	s.events.Instant("trace.upload", otrace.Str("trace_id", traceIDFrom(r.Context())),
+		otrace.Str("name", name), otrace.Int("records", int64(st.records)),
+		otrace.Str("digest", fmt.Sprintf("%016x", st.digest)))
 	writeJSON(w, http.StatusOK, TraceUploadResponse{
 		Name:    name,
 		Records: st.records,
@@ -1086,13 +1047,13 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 // runTelemetry builds the per-interval event bridge for one execution:
 // nil — telemetry fully off, the simulator pays one nil check per access
 // — unless a live /v1/events subscriber exists (one atomic load decides,
-// see journal.Streaming). Checkpointed and sampled runs execute through
-// entry points without an observation hook and stream lifecycle events
-// only. Telemetry observes and never steers, so results stay
-// byte-identical with or without subscribers — the obs-smoke gate
-// byte-compares exactly this.
+// see otrace.Tracer.Streaming). Checkpointed and sampled runs execute
+// through entry points without an observation hook and stream lifecycle
+// events only. Telemetry observes and never steers, so results stay
+// byte-identical with or without subscribers, which
+// TestSweepBodyIdenticalWithSubscriber checks.
 func (s *Server) runTelemetry(sp *runSpec, traceID string) *sim.Telemetry {
-	if !s.journal.Streaming() || sp.ckpt != nil || sp.sampled {
+	if !s.events.Streaming() || sp.ckpt != nil || sp.sampled {
 		return nil
 	}
 	// ~16 windows per run, summed over cores, floored so tiny runs emit
@@ -1101,7 +1062,7 @@ func (s *Server) runTelemetry(sp *runSpec, traceID string) *sim.Telemetry {
 	if interval < 1000 {
 		interval = 1000
 	}
-	return sim.JournalTelemetry(s.journal, sp.cell, traceID, interval)
+	return sim.EventTelemetry(s.events, sp.cell, traceID, interval)
 }
 
 // runRegistry tracks in-flight executions by cell key so the watchdog's
@@ -1147,7 +1108,7 @@ func (r *runRegistry) oldest() (string, time.Time, bool) {
 // queue (stalled intake), an execution past the request deadline budget
 // (a run the timeout machinery lost track of, or a pathological cell),
 // a checkpoint store accumulating write errors, and an open breaker.
-// Transitions are edge-triggered into the journal and flip the
+// Transitions are edge-triggered into the event stream and flip the
 // lapserved_watchdog_healthy{subsystem=...} gauges.
 func (s *Server) newWatchdog() *health.Watchdog {
 	w := health.NewWatchdog(s.cfg.WatchdogInterval)
@@ -1188,8 +1149,8 @@ func (s *Server) newWatchdog() *health.Watchdog {
 		})
 	}
 	w.OnTransition(func(subsystem string, healthy bool, detail string) {
-		s.journal.Emit(journal.Event{Kind: "watchdog.transition", Msg: detail,
-			Fields: journal.F("subsystem", subsystem, "healthy", healthy)})
+		s.events.Instant("watchdog.transition", otrace.Str("subsystem", subsystem),
+			otrace.Bool("healthy", healthy), otrace.Str("msg", detail))
 	})
 	return w
 }

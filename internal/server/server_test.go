@@ -721,11 +721,14 @@ func TestCachedRunBypassesWorkerSlots(t *testing.T) {
 }
 
 // TestMetricsEndpoint: GET /metrics serves the Prometheus text format
-// with the load-bearing lapserved series present, and the run-latency
-// histogram advances in the right provenance bucket.
+// with every load-bearing family present under its type, and one
+// computed and one recalled run move the series they should: the
+// run-latency histogram's provenance split, queue wait, the lapsim_*
+// throughput series and the event counter.
 func TestMetricsEndpoint(t *testing.T) {
 	s, ts := testServer(t, Config{})
-	req := RunRequest{Mix: "WL1", Accesses: smallAccesses}
+	// Long enough for LAP to evict from the L2s into the LLC's banks.
+	req := RunRequest{Mix: "WH1", Accesses: 20000}
 	for i := 0; i < 2; i++ { // one computed, one recalled
 		if status, body := post(t, ts.URL+"/v1/run", req); status != http.StatusOK {
 			t.Fatalf("run %d: %d %s", i, status, body)
@@ -765,7 +768,55 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+	// Every load-bearing family is present with its type.
+	types := map[string]string{}
+	for _, line := range strings.Split(text, "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			types[f[2]] = f[3]
+		}
+	}
+	for family, typ := range map[string]string{
+		"lapserved_breaker_state":               "gauge",
+		"lapserved_queue_depth":                 "gauge",
+		"lapserved_queue_limit":                 "gauge",
+		"lapserved_inflight_runs":               "gauge",
+		"lapserved_trace_store_entries":         "gauge",
+		"lapserved_breaker_shed_total":          "counter",
+		"lapserved_admit_rejected_total":        "counter",
+		"lapserved_runs_failed_total":           "counter",
+		"lapserved_memo_computed_total":         "counter",
+		"lapserved_memo_recalled_total":         "counter",
+		"lapserved_profile_memo_computed_total": "counter",
+		"lapserved_sample_runs_total":           "counter",
+		"lapserved_sample_last_work_reduction":  "gauge",
+		"lapserved_breaker_transitions_total":   "counter",
+		"lapserved_retry_attempts_total":        "counter",
+		"lapserved_run_duration_seconds":        "histogram",
+		"lapserved_queue_wait_seconds":          "histogram",
+		"lapserved_watchdog_healthy":            "gauge",
+		"lapserved_events_emitted_total":        "counter",
+		"lapserved_events_dropped_total":        "counter",
+		"lapserved_event_subscribers":           "gauge",
+		"lapsim_accesses_per_second":            "gauge",
+		"lapsim_bank_ops_total":                 "counter",
+	} {
+		if got := types[family]; got != typ {
+			t.Errorf("family %s has type %q, want %q", family, got, typ)
+		}
+	}
 	snap := s.Metrics().Snapshot()
+	for _, series := range []string{
+		`lapserved_retry_attempts_total{outcome="failure"}`,
+		`lapserved_watchdog_healthy{subsystem="queue"}`,
+		`lapserved_watchdog_healthy{subsystem="breaker"}`,
+	} {
+		if _, ok := snap[series]; !ok {
+			t.Errorf("series %s missing", series)
+		}
+	}
+	// The traffic: one computed run, one recalled, a quiet breaker. Queue
+	// wait is observed only when a run computes, and the computed run
+	// fed the simulator-throughput series.
 	if got := snap[`lapserved_run_duration_seconds_count{source="computed"}`]; got != 1 {
 		t.Errorf("computed latency count = %v, want 1", got)
 	}
@@ -774,5 +825,17 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if got := snap["lapserved_memo_recalled_total"]; got < 1 {
 		t.Errorf("memo recalled = %v, want >= 1", got)
+	}
+	if got := snap["lapserved_queue_wait_seconds_count"]; got != 1 {
+		t.Errorf("queue wait count = %v, want 1", got)
+	}
+	if got := snap["lapsim_accesses_per_second"]; got <= 0 {
+		t.Errorf("accesses per second = %v, want > 0", got)
+	}
+	if got := snap[`lapsim_bank_ops_total{bank="0"}`]; got <= 0 {
+		t.Errorf("bank 0 ops = %v, want > 0", got)
+	}
+	if got := snap["lapserved_events_emitted_total"]; got < 2 {
+		t.Errorf("events emitted = %v, want the computed run's run.start and run.finish", got)
 	}
 }

@@ -122,7 +122,7 @@ func (l *traceLog) recent(max int) []string {
 }
 
 // traceIDKey carries the request's trace ID down through handler
-// contexts so journal events emitted during the request (run lifecycle,
+// contexts so events emitted during the request (run lifecycle,
 // interval telemetry) correlate with the request log and
 // GET /v1/trace/{id} on the same ID.
 type traceIDKey struct{}
@@ -153,10 +153,10 @@ func (c *requestCtx) Value(key any) any {
 	return c.Context.Value(key)
 }
 
-// instrument wraps the router with per-request tracing, structured
-// logging, and SLO accounting. EVERY request — simulation POSTs and
+// instrument wraps the router with per-request tracing and structured
+// logging. EVERY request — simulation POSTs and
 // read-only GETs alike — gets a request ID (echoed in X-Trace-Id and
-// stashed in the context for journal correlation) and the same
+// stashed in the context for event correlation) and the same
 // structured log line: method, route (the matched mux pattern), path,
 // status, bytes written, duration, trace_id. Simulation requests additionally
 // get a private small tracer whose root "request" span flows down
@@ -166,8 +166,6 @@ func (c *requestCtx) Value(key any) any {
 // response are not recorded, and lands in the trace log, which renders
 // it for GET /v1/trace/{id}; with TraceDir set it is also written there
 // at once. Their log line carries the root span's ID (span_id) too.
-// Run and sweep requests feed the SLO tracker: server-side failure
-// (5xx) burns the availability budget, a slow answer the latency one.
 func (s *Server) instrument(h http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -203,12 +201,6 @@ func (s *Server) instrument(h http.Handler) http.Handler {
 		route := r.Pattern
 		if route == "" {
 			route = r.URL.Path // no mux match (404s)
-		}
-		if r.Method == http.MethodPost &&
-			(r.URL.Path == "/v1/run" || r.URL.Path == "/v1/sweep") {
-			// 5xx burns availability; client-side aborts (499) and client
-			// errors do not — the server did its part.
-			s.slo.Observe(rec.status < http.StatusInternalServerError, dur)
 		}
 		if s.cfg.Logger != nil {
 			attrs := [...]slog.Attr{

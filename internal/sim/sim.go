@@ -599,9 +599,11 @@ func (m *machine) access(c *coreState, block uint64, write bool) uint64 {
 
 // prefetch issues next-line prefetches into the L2 after a demand miss.
 // Prefetches run through the inclusion controller like demand fetches
-// (they cost LLC energy and bank time) but never stall the core. They
-// stop at the last block of the address space instead of running past
-// it.
+// (they cost LLC energy and bank time) but never stall the core. On a
+// coherent machine each one snoops first, as a demand read miss does: a
+// peer's dirty copy is supplied cache-to-cache without an LLC fetch, and
+// peers holding the block mark it shared. They stop at the last block
+// of the address space instead of running past it.
 func (m *machine) prefetch(c *coreState, block uint64) {
 	for d := 1; d <= m.cfg.PrefetchDegree; d++ {
 		pb := block + uint64(d)
@@ -611,6 +613,17 @@ func (m *machine) prefetch(c *coreState, block uint64) {
 		if c.l2.Probe(pb) >= 0 || c.l1.Probe(pb) >= 0 {
 			continue
 		}
+		m.ctx.Met.Prefetches++
+		shared := false
+		if m.bus != nil {
+			res := m.bus.OnMiss(c.id, pb)
+			shared = res.SharedElsewhere
+			if res.SuppliedDirty {
+				m.ctx.Met.SnoopDirtyTransfers++
+				m.installL2(c, pb, true, false, shared)
+				continue
+			}
+		}
 		m.ctx.Now = uint64(c.cycles)
 		r := m.ctrl.Fetch(m.ctx, pb)
 		if r.Loop {
@@ -619,8 +632,7 @@ func (m *machine) prefetch(c *coreState, block uint64) {
 		if !r.Hit && m.bus != nil {
 			m.bus.OnLLCMiss()
 		}
-		m.installL2(c, pb, false, r.Loop, false)
-		m.ctx.Met.Prefetches++
+		m.installL2(c, pb, false, r.Loop, shared)
 	}
 }
 

@@ -60,10 +60,11 @@ func holds(c *coreState, block uint64) (found, dirty bool) {
 // snoopDiff runs b's threads on cfg's coherent machine under ctrl, in
 // the serial loop's order (lowest clock first, lowest index on ties),
 // and drives a MOESI directory beside it: a Read or Write per access,
-// and an Evict for each L2 victim that the core's L1 no longer holds.
-// After each access, for the accessed block and each L2 victim, every
-// core that holds the block in its L1 or L2 must be valid in the
-// directory, and at most one core may hold it dirty. The converse of
+// a Read for each block the access prefetched, and an Evict for each L2
+// victim that the core's L1 no longer holds. After each access, for the
+// accessed block, each prefetched block and each L2 victim, every core
+// that holds the block in its L1 or L2 must be valid in the directory,
+// and at most one core may hold it dirty. The converse of
 // the first rule need not hold: a clean L1 victim that the L2 lacks
 // leaves silently. snoopDiff returns the violations, then the first
 // broken invariant of the directory itself, if any, and the directory.
@@ -102,6 +103,15 @@ func snoopDiff(cfg Config, ctrl core.Controller, b workload.Benchmark, accesses 
 			next.done = true
 			continue
 		}
+		block := acc.Addr / uint64(cfg.BlockBytes)
+		// The step prefetched the next-line blocks it did not hold before
+		// and holds after.
+		var prefetched []uint64
+		for d := 1; d <= cfg.PrefetchDegree; d++ {
+			if found, _ := holds(next, block+uint64(d)); !found {
+				prefetched = append(prefetched, block+uint64(d))
+			}
+		}
 		tap.cur, tap.victims = next, tap.victims[:0]
 		m.step(next, acc)
 		for _, v := range tap.victims {
@@ -109,13 +119,18 @@ func snoopDiff(cfg Config, ctrl core.Controller, b workload.Benchmark, accesses 
 				dir.Evict(next.id, v.block)
 			}
 		}
-		block := acc.Addr / uint64(cfg.BlockBytes)
 		if acc.Write {
 			dir.Write(next.id, block)
 		} else {
 			dir.Read(next.id, block)
 		}
 		check(block)
+		for _, pb := range prefetched {
+			if found, _ := holds(next, pb); found {
+				dir.Read(next.id, pb)
+				check(pb)
+			}
+		}
 		for _, v := range tap.victims {
 			check(v.block)
 		}
@@ -129,41 +144,49 @@ func snoopDiff(cfg Config, ctrl core.Controller, b workload.Benchmark, accesses 
 // TestSnoopBusAgreesWithMOESIDirectory holds the message-level snoop
 // bus (Fig. 20c) to the full MOESI directory (snoopDiff) on every PARSEC
 // surrogate and a benchmark built to share, under three inclusion
-// properties.
+// properties, without a prefetcher and (the "/prefetch2" subtests) with
+// a next-line prefetch of degree 2.
 func TestSnoopBusAgreesWithMOESIDirectory(t *testing.T) {
-	cfg := smallCfg()
-	cfg.Coherent = true
 	benches := append(workload.PARSEC(), sharing())
 	ctrls := map[string]func() core.Controller{
 		"non-inclusive": func() core.Controller { return core.NewNonInclusive() },
 		"LAP":           func() core.Controller { return core.NewLAP() },
 		"inclusive":     func() core.Controller { return core.NewInclusive() },
 	}
-	for name, mk := range ctrls {
-		for _, b := range benches {
-			t.Run(name+"/"+b.Name, func(t *testing.T) {
-				t.Parallel()
-				bad, dir := snoopDiff(cfg, mk(), b, 20_000)
-				if len(bad) > 0 {
-					t.Fatalf("%d violations; first: %s", len(bad), bad[0])
-				}
-				if b.Name != "sharing" {
-					return
-				}
-				if dir.Stats.Reads == 0 || dir.Stats.Writes == 0 {
-					t.Fatalf("directory saw no traffic: %+v", dir.Stats)
-				}
-				occ := dir.Occupancy()
-				if occ[coherence.Shared] == 0 {
-					t.Fatalf("no Shared-state lines on a shared workload: %v", occ)
-				}
-				if occ[coherence.Modified]+occ[coherence.Owned] == 0 {
-					t.Fatalf("no dirty coherence states: %v", occ)
-				}
-				if dir.Stats.CacheSupplies == 0 {
-					t.Fatal("no cache-to-cache supplies on shared data")
-				}
-			})
+	for _, degree := range []int{0, 2} {
+		cfg := smallCfg()
+		cfg.Coherent = true
+		cfg.PrefetchDegree = degree
+		suffix := ""
+		if degree > 0 {
+			suffix = fmt.Sprintf("/prefetch%d", degree)
+		}
+		for name, mk := range ctrls {
+			for _, b := range benches {
+				t.Run(name+"/"+b.Name+suffix, func(t *testing.T) {
+					t.Parallel()
+					bad, dir := snoopDiff(cfg, mk(), b, 20_000)
+					if len(bad) > 0 {
+						t.Fatalf("%d violations; first: %s", len(bad), bad[0])
+					}
+					if b.Name != "sharing" {
+						return
+					}
+					if dir.Stats.Reads == 0 || dir.Stats.Writes == 0 {
+						t.Fatalf("directory saw no traffic: %+v", dir.Stats)
+					}
+					occ := dir.Occupancy()
+					if occ[coherence.Shared] == 0 {
+						t.Fatalf("no Shared-state lines on a shared workload: %v", occ)
+					}
+					if occ[coherence.Modified]+occ[coherence.Owned] == 0 {
+						t.Fatalf("no dirty coherence states: %v", occ)
+					}
+					if dir.Stats.CacheSupplies == 0 {
+						t.Fatal("no cache-to-cache supplies on shared data")
+					}
+				})
+			}
 		}
 	}
 }

@@ -220,3 +220,41 @@ func TraceTelemetry(tr *otrace.Tracer, name string, interval uint64) *Telemetry 
 		},
 	}
 }
+
+// EventTelemetry builds a Telemetry that streams the run's life as
+// instant events on tr: one "interval" event per closed window, carrying
+// every Interval field, and "run.warmup" when the measurement window
+// opens. run and traceID stamp every event as the "run" and "trace_id"
+// attrs, for correlation with the request log and /v1/trace/{id}.
+//
+// Returns nil — telemetry fully off — unless tr has a live subscriber
+// (tr.Streaming() is one atomic load). It observes only, so streamed
+// and unstreamed runs stay byte-identical.
+func EventTelemetry(tr *otrace.Tracer, run, traceID string, interval uint64) *Telemetry {
+	if !tr.Streaming() {
+		return nil
+	}
+	return &Telemetry{
+		Interval: interval,
+		OnInterval: func(iv Interval) {
+			tr.Instant("interval", otrace.Str("run", run), otrace.Str("trace_id", traceID),
+				otrace.Uint("index", iv.Index),
+				otrace.Uint("start_cycles", iv.StartCycles),
+				otrace.Uint("end_cycles", iv.EndCycles),
+				otrace.Uint("accesses", iv.Accesses),
+				otrace.Uint("l3_accesses", iv.L3Accesses),
+				otrace.Uint("l3_misses", iv.L3Misses),
+				otrace.Uint("writebacks", iv.Writebacks),
+				otrace.Uint("fills", iv.Fills),
+				otrace.Uint("redundant_fills", iv.RedundantFills),
+				otrace.Uint("loop_blocks", iv.LoopBlocks),
+				otrace.Uint("tag_only_updates", iv.TagOnlyUpdates),
+				otrace.Uint("bypasses", iv.Bypasses),
+				otrace.Float("dynamic_nj", iv.DynamicNJ))
+		},
+		OnWarmupEnd: func(cycles uint64) {
+			tr.Instant("run.warmup", otrace.Str("run", run), otrace.Str("trace_id", traceID),
+				otrace.Uint("cycles", cycles))
+		},
+	}
+}

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	otrace "repro/internal/obs/trace"
@@ -172,5 +174,101 @@ func TestTraceTelemetryTimeline(t *testing.T) {
 	}
 	if TraceTelemetry(nil, "x", 100) != nil {
 		t.Fatal("nil tracer produced telemetry")
+	}
+}
+
+// TestEventTelemetry runs a small simulation through the events sink
+// and checks the streamed shape: one "interval" instant per telemetry
+// window carrying all 13 Interval fields (the per-window dynamic energy
+// included), one "run.warmup", and the run and trace ID on every event;
+// and the gate: no subscriber, no telemetry.
+func TestEventTelemetry(t *testing.T) {
+	tr := otrace.New(256)
+	if EventTelemetry(tr, "w|p", "req-000001", 1000) != nil {
+		t.Fatal("a tracer without subscribers produced telemetry")
+	}
+	if EventTelemetry(nil, "w|p", "req-000001", 1000) != nil {
+		t.Fatal("a nil tracer produced telemetry")
+	}
+
+	sub := tr.Subscribe(0, 0, otrace.Filter{})
+	defer sub.Close()
+	cfg := smallCfg()
+	cfg.WarmupAccessesPerCore = 4000
+	tel := EventTelemetry(tr, "w|p", "req-000001", 8000)
+	if tel == nil {
+		t.Fatal("a subscribed tracer produced no telemetry")
+	}
+	r := RunObserved(cfg, core.NewLAP(), sourcesFor(loopy(), 2, 20000), tel)
+	if r.Met.L3Accesses == 0 {
+		t.Fatal("degenerate run")
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var evs []otrace.Event
+	wantIntervals := 2 * 20000 / 8000
+	for len(evs) < wantIntervals+1 {
+		batch, _, err := sub.Next(ctx)
+		if err != nil {
+			t.Fatalf("Next: %v (have %d events)", err, len(evs))
+		}
+		evs = append(evs, batch...)
+	}
+
+	intervals, warmups := 0, 0
+	var accSum uint64
+	var dynSum float64
+	for _, e := range evs {
+		rec := e.Record()
+		if e.Phase != otrace.PhaseInstant || rec.Attrs["run"] != "w|p" || rec.Attrs["trace_id"] != "req-000001" {
+			t.Fatalf("event missing correlation: %+v", rec)
+		}
+		switch e.Name {
+		case "interval":
+			if len(rec.Attrs) != 13+2 {
+				t.Fatalf("interval event has %d attrs, want 15: %v", len(rec.Attrs), rec.Attrs)
+			}
+			if rec.Attrs["index"].(uint64) != uint64(intervals) {
+				t.Fatalf("interval %d has index %v", intervals, rec.Attrs["index"])
+			}
+			accSum += rec.Attrs["accesses"].(uint64)
+			dynSum += rec.Attrs["dynamic_nj"].(float64)
+			intervals++
+		case "run.warmup":
+			warmups++
+			if rec.Attrs["cycles"].(uint64) == 0 {
+				t.Fatal("warmup event with zero cycles")
+			}
+		default:
+			t.Fatalf("unexpected event %q", e.Name)
+		}
+	}
+	if intervals != wantIntervals {
+		t.Fatalf("got %d interval events, want %d", intervals, wantIntervals)
+	}
+	if warmups != 1 {
+		t.Fatalf("got %d warmup events, want 1", warmups)
+	}
+	if accSum != 2*20000 {
+		t.Fatalf("interval accesses sum to %d, want %d", accSum, 2*20000)
+	}
+	if dynSum <= 0 {
+		t.Fatal("per-interval dynamic energy never accumulated")
+	}
+}
+
+// TestEventTelemetryObservedMatchesUnobserved: streaming never perturbs
+// results, like every other Telemetry.
+func TestEventTelemetryObservedMatchesUnobserved(t *testing.T) {
+	tr := otrace.New(64)
+	sub := tr.Subscribe(64, 0, otrace.Filter{})
+	defer sub.Close()
+	cfg := smallCfg()
+	plain := Run(cfg, core.NewLAP(), sourcesFor(loopy(), 2, 15000))
+	observed := RunObserved(cfg, core.NewLAP(), sourcesFor(loopy(), 2, 15000),
+		EventTelemetry(tr, "w|p", "", 1000))
+	if plain.Met != observed.Met {
+		t.Fatalf("event streaming changed the simulation:\nplain    %+v\nobserved %+v", plain.Met, observed.Met)
 	}
 }
